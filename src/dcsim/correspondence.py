@@ -1,12 +1,10 @@
-"""Runtime-model view, entity links, and adaptation enactment rules.
+"""Runtime-model view and adaptation enactment rules.
 
 Management algorithms never touch simulation state directly. They read a
 ``RuntimeModelSnapshot`` (a consistent copy synchronized from the
 simulation) and return ``AdaptationAction`` values, which ``enact``
-translates into simulation state changes and scheduled events. The
-``CorrespondenceModel`` keeps the typed, bidirectional entity links plus
-the bits derivable from neither side, such as which timeline event spawned
-a VM.
+translates into simulation state changes and scheduled events. Runtime and
+simulation entities share their ids, so the view needs no link table.
 """
 
 from __future__ import annotations
@@ -16,18 +14,12 @@ from dataclasses import dataclass
 from .model import (
     POWER_OFF,
     POWER_ON,
-    DataCenterModel,
+    TERMINAL_STATES,
     Initiator,
     VmFlavor,
     VmState,
-    validate,
 )
-from .state import POWER_TRANSITION_FINISHED, SimEvent, SimulationState
-
-SERVER = "server"
-VM = "vm"
-APPLICATION = "application"
-WORKLOAD = "workload"
+from .state import POWER_TRANSITION_FINISHED, SimulationState
 
 
 @dataclass(frozen=True)
@@ -74,46 +66,6 @@ class RuntimeModelSnapshot:
         raise KeyError(server_id)
 
 
-class CorrespondenceModel:
-    """Bidirectional links between runtime-model and simulation entities."""
-
-    def __init__(self) -> None:
-        self._to_sim: dict[str, dict[str, str]] = {
-            SERVER: {}, VM: {}, APPLICATION: {}, WORKLOAD: {},
-        }
-        self._to_runtime: dict[str, dict[str, str]] = {
-            SERVER: {}, VM: {}, APPLICATION: {}, WORKLOAD: {},
-        }
-        #: event id that spawned a VM; not derivable from either model.
-        self.vm_spawn_event: dict[str, str] = {}
-        #: application membership of autoscaled instance VMs.
-        self.vm_application: dict[str, str] = {}
-
-    def link(self, kind: str, runtime_id: str, sim_id: str) -> None:
-        existing = self._to_sim[kind].get(runtime_id)
-        if existing is not None and existing != sim_id:
-            raise ValueError(f"{kind} link for {runtime_id!r} already exists")
-        reverse = self._to_runtime[kind].get(sim_id)
-        if reverse is not None and reverse != runtime_id:
-            raise ValueError(f"{kind} link for sim entity {sim_id!r} already exists")
-        self._to_sim[kind][runtime_id] = sim_id
-        self._to_runtime[kind][sim_id] = runtime_id
-
-    def unlink(self, kind: str, runtime_id: str) -> None:
-        sim_id = self._to_sim[kind].pop(runtime_id, None)
-        if sim_id is not None:
-            self._to_runtime[kind].pop(sim_id, None)
-
-    def sim_id(self, kind: str, runtime_id: str) -> str | None:
-        return self._to_sim[kind].get(runtime_id)
-
-    def runtime_id(self, kind: str, sim_id: str) -> str | None:
-        return self._to_runtime[kind].get(sim_id)
-
-    def links(self, kind: str) -> dict[str, str]:
-        return dict(self._to_sim[kind])
-
-
 # --- adaptation actions ------------------------------------------------------
 
 
@@ -155,16 +107,8 @@ AdaptationAction = Place | Migrate | PowerOn | PowerOff | ScaleOut | ScaleIn
 
 
 @dataclass(frozen=True)
-class Enacted:
-    events: tuple[SimEvent, ...] = ()
-
-
-@dataclass(frozen=True)
 class Rejected:
     reason: str
-
-
-ActionOutcome = Enacted | Rejected
 
 
 def describe(action: AdaptationAction) -> tuple[str, str]:
@@ -182,58 +126,10 @@ def describe(action: AdaptationAction) -> tuple[str, str]:
     return "scale-in", f"{action.application_id}/{action.instance_id}"
 
 
-# --- building and synchronizing the runtime view -----------------------------
+# --- synchronizing the runtime view -----------------------------------------
 
 
-def build_initial(
-    model: DataCenterModel, sim: SimulationState | None = None
-) -> tuple[RuntimeModelSnapshot, CorrespondenceModel]:
-    """Initial runtime view and correspondence for a validated model.
-
-    When ``sim`` is given the links attach to live simulation entities;
-    otherwise a detached view is produced (useful for inspecting a model).
-    """
-    problems = validate(model)
-    if problems:
-        raise ValueError("model does not validate: " + "; ".join(problems))
-    corr = CorrespondenceModel()
-    for server in model.servers:
-        corr.link(SERVER, server.id, server.id)
-    for vm in model.initial_vms:
-        corr.link(VM, vm.id, vm.id)
-    if sim is not None:
-        snapshot = sync_measurements(sim)
-    else:
-        placed: dict[str, float] = {s.id: 0.0 for s in model.servers}
-        for vm in model.initial_vms:
-            if vm.host in placed:
-                placed[vm.host] += vm.flavor.ram
-        snapshot = RuntimeModelSnapshot(
-            servers=tuple(
-                ServerView(
-                    id=s.id,
-                    cores=s.cores,
-                    core_speed=s.core_speed,
-                    ram_capacity=s.ram_capacity,
-                    power_state=model.power_state(s.id),
-                    utilization=0.0,
-                    free_ram=s.ram_capacity - placed[s.id],
-                )
-                for s in model.servers
-            ),
-            vms=tuple(
-                VmView(vm.id, vm.flavor, vm.host, vm.state, 0.0)
-                for vm in model.initial_vms
-            ),
-            applications=(),
-            current_time=0.0,
-        )
-    return snapshot, corr
-
-
-def sync_measurements(
-    sim: SimulationState, snapshot: RuntimeModelSnapshot | None = None
-) -> RuntimeModelSnapshot:
+def sync_measurements(sim: SimulationState) -> RuntimeModelSnapshot:
     """Fresh runtime view reflecting the simulation's current values.
 
     The returned snapshot is a consistent copy; algorithms observing it
@@ -255,7 +151,7 @@ def sync_measurements(
         )
     vms = []
     for vm_id, vm in sim.vms.items():
-        if vm.state in (VmState.COMPLETED, VmState.TERMINATED):
+        if vm.state in TERMINAL_STATES:
             continue
         vms.append(VmView(vm_id, vm.flavor, vm.host, vm.state, vm.current_demand(sim)))
     apps = tuple(
@@ -278,31 +174,27 @@ def sync_measurements(
 def enact(
     action: AdaptationAction,
     sim: SimulationState,
-    corr: CorrespondenceModel,
     extra_boot_delay: float = 0.0,
-) -> ActionOutcome:
+) -> Rejected | None:
     """Apply one adaptation action to the simulation.
 
     Immediate effects (RAM reservations, bookkeeping) happen synchronously;
-    delayed effects arrive through the returned scheduled events. Infeasible
-    actions are rejected with a reason, never raised. Every action lands in
-    the action log either way.
+    delayed effects arrive through scheduled events. Infeasible actions are
+    rejected with a reason, never raised. Every action lands in the action
+    log either way.
     """
     name, subject = describe(action)
-    outcome = _enact(action, sim, corr, extra_boot_delay)
-    if isinstance(outcome, Rejected):
-        sim.log(name, subject, f"rejected: {outcome.reason}")
-    else:
+    outcome = _enact(action, sim, extra_boot_delay)
+    if outcome is None:
         sim.log(name, subject, "enacted")
+    else:
+        sim.log(name, subject, f"rejected: {outcome.reason}")
     return outcome
 
 
 def _enact(
-    action: AdaptationAction,
-    sim: SimulationState,
-    corr: CorrespondenceModel,
-    extra_boot_delay: float,
-) -> ActionOutcome:
+    action: AdaptationAction, sim: SimulationState, extra_boot_delay: float
+) -> Rejected | None:
     if isinstance(action, Place):
         vm = sim.vms.get(action.vm_id)
         if vm is None:
@@ -316,12 +208,8 @@ def _enact(
             return Rejected(f"server {action.server_id} is powered off")
         if server.free_ram(sim) < vm.flavor.ram:
             return Rejected(f"insufficient RAM on {action.server_id}")
-        event = sim.place_vm(
-            vm, action.server_id, extra_boot_delay + sim.config.boot_latency
-        )
-        if corr.runtime_id(VM, vm.id) is None:
-            corr.link(VM, vm.id, vm.id)
-        return Enacted((event,))
+        sim.place_vm(vm, action.server_id, extra_boot_delay + sim.config.boot_latency)
+        return None
 
     if isinstance(action, Migrate):
         vm = sim.vms.get(action.vm_id)
@@ -340,8 +228,8 @@ def _enact(
             return Rejected(f"server {action.target} is powered off")
         if target.free_ram(sim) < vm.flavor.ram:
             return Rejected(f"insufficient RAM on {action.target}")
-        event = sim.start_migration(vm, action.target)
-        return Enacted((event,))
+        sim.start_migration(vm, action.target)
+        return None
 
     if isinstance(action, (PowerOn, PowerOff)):
         server = sim.servers.get(action.server_id)
@@ -356,12 +244,12 @@ def _enact(
             return Rejected("server not empty")
         server.pending_power = target_state
         server.power_epoch += 1
-        event = sim.schedule(
+        sim.schedule(
             sim.now + sim.config.power_transition_latency,
             POWER_TRANSITION_FINISHED,
             (action.server_id, server.power_epoch, target_state),
         )
-        return Enacted((event,))
+        return None
 
     if isinstance(action, ScaleOut):
         app = sim.apps.get(action.application_id)
@@ -376,16 +264,13 @@ def _enact(
         )
         server_id = sim.placement_fn(sync_measurements(sim), vm.flavor)
         if server_id is None:
-            vm.record.end_kind = "rejected"
-            vm.record.end_time = sim.now
+            sim.reject_vm(vm)
             return Rejected("no feasible server")
-        event = sim.place_vm(vm, server_id, sim.config.boot_latency)
-        corr.link(VM, instance_id, instance_id)
-        corr.vm_application[instance_id] = app.id
+        sim.place_vm(vm, server_id, sim.config.boot_latency)
         app.instance_ids.append(instance_id)
         sim.record_app_count(app, sim.now)
         sim.log("place", f"{instance_id}->{server_id}", "enacted")
-        return Enacted((event,))
+        return None
 
     if isinstance(action, ScaleIn):
         app = sim.apps.get(action.application_id)
@@ -399,7 +284,7 @@ def _enact(
             return Rejected("cannot remove the last instance")
         vm = sim.vms[action.instance_id]
         sim.terminate_vm(vm)
-        return Enacted(())
+        return None
 
     return Rejected(f"unsupported action {action!r}")
 

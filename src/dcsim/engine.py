@@ -22,11 +22,6 @@ from .algorithms import (
     reg_decide,
 )
 from .correspondence import (
-    APPLICATION,
-    SERVER,
-    VM,
-    WORKLOAD,
-    CorrespondenceModel,
     Place,
     Rejected,
     ScaleIn,
@@ -35,6 +30,7 @@ from .correspondence import (
     sync_measurements,
 )
 from .model import (
+    TERMINAL_STATES,
     DataCenterModel,
     Initiator,
     OpenRequestLoad,
@@ -275,7 +271,6 @@ class _Engine:
         self.config = config
         self.sim = SimulationState(model, config)
         self.sim.placement_fn = PLACEMENT_FUNCTIONS[algorithms.placement]
-        self.corr = CorrespondenceModel()
         self.events: dict[str, TimelineEvent] = {ev.id: ev for ev in scenario.events}
         self.completions: dict[str, float] = {}
         self.pending_relative: list[TimelineEvent] = []
@@ -311,8 +306,6 @@ class _Engine:
     # -- setup -------------------------------------------------------------
 
     def _install_initial_vms(self) -> None:
-        for server in self.model.servers:
-            self.corr.link(SERVER, server.id, server.id)
         for vm_model in self.model.initial_vms:
             app_id = None
             if isinstance(vm_model.workload, OpenRequestLoad):
@@ -329,8 +322,6 @@ class _Engine:
             vm.record.hosts.append((0.0, vm_model.host))
             vm.record.start_time = 0.0
             self.sim.record_lifecycle(vm, "started", host_id=vm.host)
-            self.corr.link(VM, vm.id, vm.id)
-            self.corr.link(WORKLOAD, f"{vm.id}/workload", f"{vm.id}/workload")
             if vm.is_trace():
                 if vm.workload.segments:
                     self.sim.init_segment(vm)
@@ -348,7 +339,6 @@ class _Engine:
             id=app_id, load=load, flavor=flavor, created_at=self.sim.now
         )
         self.sim.apps[app_id] = app
-        self.corr.link(APPLICATION, app_id, app_id)
         for offset, _rate in load.series:
             when = self.sim.now + offset
             if when <= self.config.end_time:
@@ -420,20 +410,17 @@ class _Engine:
         vm = self.sim.create_vm(
             request.vm_id, flavor, template.workload, Initiator.TENANT, app_id=app_id
         )
-        self.corr.vm_spawn_event[vm.id] = ev.id
         self.event_of_vm[vm.id] = ev.id
-        self.corr.link(WORKLOAD, f"{vm.id}/workload", f"{vm.id}/workload")
         snapshot = sync_measurements(self.sim)
         server_id = self.sim.placement_fn(snapshot, flavor)
         outcome = None
         if server_id is not None:
             outcome = enact(
-                Place(vm.id, server_id), self.sim, self.corr,
+                Place(vm.id, server_id), self.sim,
                 extra_boot_delay=self.config.placement_decision_latency,
             )
         if server_id is None or isinstance(outcome, Rejected):
-            vm.record.end_kind = "rejected"
-            vm.record.end_time = self.sim.now
+            self.sim.reject_vm(vm)
             self.sim.log("start-request", vm.id, "rejected: no feasible server")
             self._complete_event(ev.id, self.sim.now)
             return
@@ -454,17 +441,8 @@ class _Engine:
         vm = self.sim.vms.get(vm_id)
         if vm is None:
             self.sim.log("stop-request", vm_id, "no-op: vm never started")
-        elif vm.state in (VmState.COMPLETED, VmState.TERMINATED):
+        elif vm.state in TERMINAL_STATES:
             self.sim.log("stop-request", vm_id, f"no-op: already {vm.state.value}")
-        elif vm.state is VmState.PENDING:
-            if vm.record.end_kind == "rejected":
-                self.sim.log("stop-request", vm_id, "no-op: placement was rejected")
-            else:
-                vm.record.end_time = self.sim.now
-                vm.record.end_kind = "terminated"
-                vm.state = VmState.TERMINATED
-                self.sim.record_lifecycle(vm, "terminated")
-                self.sim.log("stop-request", vm_id, "cancelled before placement")
         else:
             self.sim.terminate_vm(vm)
             self.sim.log("stop-request", vm_id, f"terminated {vm_id}")
@@ -510,11 +488,11 @@ class _Engine:
             snapshot = sync_measurements(self.sim)
             plan = OPTIMIZER_FUNCTIONS[self.optimizer_id](snapshot, self.algorithms)
             for action in plan:
-                enact(action, self.sim, self.corr)
+                enact(action, self.sim)
         if self.algorithms.power_manager_enabled:
             snapshot = sync_measurements(self.sim)
             for action in manage_power(snapshot, self.algorithms.spare_servers):
-                enact(action, self.sim, self.corr)
+                enact(action, self.sim)
         self.sim.schedule(
             self.sim.now + self.optimizer_interval, OPTIMIZER_TICK, (epoch,)
         )
@@ -537,10 +515,10 @@ class _Engine:
                 )
             if isinstance(decision, ScaleOutBy):
                 for _ in range(decision.count):
-                    enact(ScaleOut(app_id), self.sim, self.corr)
+                    enact(ScaleOut(app_id), self.sim)
             elif isinstance(decision, ScaleInInstances):
                 for instance_id in decision.instance_ids:
-                    enact(ScaleIn(app_id, instance_id), self.sim, self.corr)
+                    enact(ScaleIn(app_id, instance_id), self.sim)
             self.autoscaler_series.append(
                 (self.sim.now, app_id, len(app.instance_ids), rate)
             )
@@ -571,7 +549,6 @@ class _Engine:
 
     def _handle_measurement(self) -> None:
         sample_measurements(self.sim, self.sim.now)
-        sync_measurements(self.sim)
         self.sim.schedule(
             self.sim.now + self.config.measurement_interval, MEASUREMENT_SAMPLE, ()
         )

@@ -22,13 +22,14 @@ class VmState(str, Enum):
     MIGRATING = "migrating"
     COMPLETED = "completed"
     TERMINATED = "terminated"
+    REJECTED = "rejected"  # no server could take it; never placed
 
 
 #: States in which a VM occupies a host.
 HOSTED_STATES = frozenset({VmState.BOOTING, VmState.RUNNING, VmState.MIGRATING})
 
 #: Terminal states; no transition leaves them.
-TERMINAL_STATES = frozenset({VmState.COMPLETED, VmState.TERMINATED})
+TERMINAL_STATES = frozenset({VmState.COMPLETED, VmState.TERMINATED, VmState.REJECTED})
 
 
 class Initiator(str, Enum):
@@ -51,8 +52,8 @@ class VmFlavor:
         errs = []
         if self.vcpus < 1:
             errs.append(f"flavor vcpus must be >= 1, got {self.vcpus}")
-        if self.ram <= 0:
-            errs.append(f"flavor ram must be > 0 MiB, got {self.ram}")
+        if not 0 < self.ram < math.inf:
+            errs.append(f"flavor ram must be finite and > 0 MiB, got {self.ram}")
         return errs
 
 
@@ -69,13 +70,13 @@ class BlackBoxTrace:
     segments: tuple[tuple[float, float], ...]
 
     def check(self) -> list[str]:
-        errs = []
-        for i, (duration, demand) in enumerate(self.segments):
-            if duration <= 0:
-                errs.append(f"trace segment {i} duration must be > 0, got {duration}")
-            if demand < 0:
-                errs.append(f"trace segment {i} demand must be >= 0, got {demand}")
-        return errs
+        inf = math.inf
+        return [
+            f"trace segment {i} needs a finite duration > 0 and a finite demand "
+            f">= 0, got ({duration}, {demand})"
+            for i, (duration, demand) in enumerate(self.segments)
+            if not (0 < duration < inf and 0 <= demand < inf)
+        ]
 
     def total_duration(self) -> float:
         return sum(d for d, _ in self.segments)
@@ -98,17 +99,21 @@ class OpenRequestLoad:
 
     def check(self) -> list[str]:
         errs = []
-        if self.per_instance_capacity <= 0:
+        if not 0 < self.per_instance_capacity < math.inf:
             errs.append(
-                f"per_instance_capacity must be > 0, got {self.per_instance_capacity}"
+                "per_instance_capacity must be finite and > 0, "
+                f"got {self.per_instance_capacity}"
             )
-        prev = -math.inf
-        for i, (t, rate) in enumerate(self.series):
-            if t <= prev:
-                errs.append(f"series times must be strictly increasing at index {i}")
+        inf = math.inf
+        prev = -inf
+        for t, rate in self.series:
+            if not (prev < t < inf and 0 <= rate < inf):
+                errs.append(
+                    "series needs finite, strictly increasing times and finite "
+                    f"rates >= 0; point ({t}, {rate}) breaks this"
+                )
+                break
             prev = t
-            if rate < 0:
-                errs.append(f"series rate must be >= 0 at index {i}, got {rate}")
         return errs
 
     def rate_at(self, t: float) -> float:
@@ -161,6 +166,8 @@ class PowerModel:
                 )
         else:
             errs.append(f"unknown power model family {self.family!r}")
+        if not all(math.isfinite(c) for c in self.coefficients):
+            errs.append(f"coefficients must be finite, got {list(self.coefficients)}")
         return errs
 
 
@@ -196,15 +203,19 @@ class ServerSpec:
         errs = []
         if self.cores < 1:
             errs.append(f"server {self.id}: cores must be >= 1, got {self.cores}")
-        if self.core_speed <= 0:
-            errs.append(f"server {self.id}: core_speed must be > 0, got {self.core_speed}")
-        if self.ram_capacity <= 0:
+        if not 0 < self.core_speed < math.inf:
             errs.append(
-                f"server {self.id}: ram_capacity must be > 0, got {self.ram_capacity}"
+                f"server {self.id}: core_speed must be finite and > 0, got {self.core_speed}"
             )
-        if self.idle_off_power < 0:
+        if not 0 < self.ram_capacity < math.inf:
             errs.append(
-                f"server {self.id}: idle_off_power must be >= 0, got {self.idle_off_power}"
+                f"server {self.id}: ram_capacity must be finite and > 0, "
+                f"got {self.ram_capacity}"
+            )
+        if not 0 <= self.idle_off_power < math.inf:
+            errs.append(
+                f"server {self.id}: idle_off_power must be finite and >= 0, "
+                f"got {self.idle_off_power}"
             )
         return errs
 
@@ -231,9 +242,7 @@ class VmInstance:
     initiator: Initiator = Initiator.TENANT
 
     def check(self) -> list[str]:
-        errs = []
-        errs.extend(self.flavor.check())
-        errs.extend(self.workload.check())
+        errs = [f"vm {self.id}: {e}" for e in self.flavor.check() + self.workload.check()]
         hosted = self.state in HOSTED_STATES
         if hosted and self.host is None:
             errs.append(f"vm {self.id}: state {self.state.value} requires a host")
@@ -250,12 +259,6 @@ class DataCenterModel:
     power_models: Mapping[str, PowerModel]
     initial_vms: tuple[VmInstance, ...] = ()
     initial_power_states: Mapping[str, str] = field(default_factory=dict)
-
-    def server(self, server_id: str) -> ServerSpec:
-        for s in self.servers:
-            if s.id == server_id:
-                return s
-        raise KeyError(server_id)
 
     def power_state(self, server_id: str) -> str:
         return self.initial_power_states.get(server_id, POWER_ON)

@@ -9,6 +9,7 @@ what makes orchestrated deployments expressible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
@@ -102,12 +103,6 @@ class ExperimentScenario:
     events: list[TimelineEvent]
     templates: dict[str, ApplicationTemplate] = field(default_factory=dict)
 
-    def event(self, event_id: str) -> TimelineEvent:
-        for ev in self.events:
-            if ev.id == event_id:
-                return ev
-        raise KeyError(event_id)
-
     def start_events(self) -> list[TimelineEvent]:
         return [ev for ev in self.events if isinstance(ev.request, StartApplication)]
 
@@ -128,13 +123,23 @@ def resolve_trigger_time(
     return None
 
 
+def _raise_problems(where: str, problems: list[str]) -> None:
+    if problems:
+        raise ScenarioError(f"{where}: " + "; ".join(problems))
+
+
 def check_scenario(scenario: ExperimentScenario, known_vm_ids: Iterable[str] = ()) -> None:
     """Raise ScenarioError on any violated scenario invariant."""
-    ids: set[str] = set()
+    for tid, template in scenario.templates.items():
+        _raise_problems(
+            f"template {tid!r}", template.flavor.check() + template.workload.check()
+        )
+
+    events: dict[str, TimelineEvent] = {}
     for ev in scenario.events:
-        if ev.id in ids:
+        if ev.id in events:
             raise ScenarioError(f"duplicate event id {ev.id!r}")
-        ids.add(ev.id)
+        events[ev.id] = ev
 
     scenario_vm_ids = set(known_vm_ids)
     for ev in scenario.start_events():
@@ -142,6 +147,10 @@ def check_scenario(scenario: ExperimentScenario, known_vm_ids: Iterable[str] = (
         if req.template not in scenario.templates:
             raise ScenarioError(
                 f"event {ev.id!r} references missing template {req.template!r}"
+            )
+        if req.flavor_override is not None:
+            _raise_problems(
+                f"event {ev.id!r} flavor_override", req.flavor_override.check()
             )
         if req.vm_id in scenario_vm_ids:
             raise ScenarioError(
@@ -151,30 +160,34 @@ def check_scenario(scenario: ExperimentScenario, known_vm_ids: Iterable[str] = (
 
     for ev in scenario.events:
         if isinstance(ev.trigger, AbsoluteTime):
-            if ev.trigger.time < 0:
-                raise ScenarioError(f"event {ev.id!r} has negative absolute time")
+            if not 0 <= ev.trigger.time < math.inf:
+                raise ScenarioError(
+                    f"event {ev.id!r} absolute time must be finite and >= 0"
+                )
         else:
-            if ev.trigger.reference not in ids:
+            if ev.trigger.reference not in events:
                 raise ScenarioError(
                     f"event {ev.id!r} references missing event {ev.trigger.reference!r}"
                 )
-            if ev.trigger.offset < 0:
-                raise ScenarioError(f"event {ev.id!r} has negative relative offset")
+            if not 0 <= ev.trigger.offset < math.inf:
+                raise ScenarioError(
+                    f"event {ev.id!r} relative offset must be finite and >= 0"
+                )
         if isinstance(ev.request, StopApplication):
             target = ev.request.target
-            if target not in ids and target not in scenario_vm_ids:
+            if target not in events and target not in scenario_vm_ids:
                 raise ScenarioError(
                     f"stop event {ev.id!r} references missing id {target!r}"
                 )
-            if target in ids and not isinstance(
-                scenario.event(target).request, StartApplication
+            if target in events and not isinstance(
+                events[target].request, StartApplication
             ):
                 raise ScenarioError(
                     f"stop event {ev.id!r} target {target!r} is not a start event"
                 )
         if isinstance(ev.request, ChangeOptimisationInterval):
-            if ev.request.interval <= 0:
-                raise ScenarioError(f"event {ev.id!r} interval must be > 0")
+            if not 0 < ev.request.interval < math.inf:
+                raise ScenarioError(f"event {ev.id!r} interval must be finite and > 0")
 
     # Relative references must not form a cycle.
     edges = {

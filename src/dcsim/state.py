@@ -387,7 +387,7 @@ class SimulationState:
         self.record_lifecycle(vm, "submitted")
         return vm
 
-    def place_vm(self, vm: VmRuntime, server_id: str, boot_delay: float) -> SimEvent:
+    def place_vm(self, vm: VmRuntime, server_id: str, boot_delay: float) -> None:
         """Reserve RAM now and schedule the boot completion."""
         server = self.servers[server_id]
         server.vm_ids.append(vm.id)
@@ -395,7 +395,7 @@ class SimulationState:
         vm.state = VmState.BOOTING
         vm.move_epoch += 1
         vm.record.hosts.append((self.now, server_id))
-        return self.schedule(self.now + boot_delay, BOOT_FINISHED, (vm.id, vm.move_epoch))
+        self.schedule(self.now + boot_delay, BOOT_FINISHED, (vm.id, vm.move_epoch))
 
     def finish_boot(self, vm: VmRuntime) -> None:
         assert vm.host is not None
@@ -415,16 +415,14 @@ class SimulationState:
             self.recompute_app_demand(app, self.now)
         self.refresh_host(vm.host, self.now)
 
-    def start_migration(self, vm: VmRuntime, target_id: str) -> SimEvent:
+    def start_migration(self, vm: VmRuntime, target_id: str) -> None:
         """Reserve RAM on the target and schedule the cutover."""
         self.servers[target_id].vm_ids.append(vm.id)
         vm.migration_target = target_id
         vm.state = VmState.MIGRATING
         vm.move_epoch += 1
         duration = vm.flavor.ram / self.config.migration_bandwidth
-        return self.schedule(
-            self.now + duration, MIGRATION_FINISHED, (vm.id, vm.move_epoch)
-        )
+        self.schedule(self.now + duration, MIGRATION_FINISHED, (vm.id, vm.move_epoch))
 
     def finish_migration(self, vm: VmRuntime) -> None:
         source, target = vm.host, vm.migration_target
@@ -439,6 +437,12 @@ class SimulationState:
         self.record_lifecycle(vm, "migrated", host_id=target)
         self.refresh_host(source, self.now)
         self.refresh_host(target, self.now)
+
+    def reject_vm(self, vm: VmRuntime) -> None:
+        """End a never-placed VM whose placement found no server."""
+        vm.state = VmState.REJECTED
+        vm.record.end_time = self.now
+        vm.record.end_kind = "rejected"
 
     def complete_vm(self, vm: VmRuntime) -> None:
         self._release_vm(vm, VmState.COMPLETED, "completed")

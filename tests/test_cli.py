@@ -1,12 +1,13 @@
 import csv
 import json
+import math
 import os
 
 import pytest
 
 from dcsim.cli import main, relative_error
-from dcsim.model import dump_model
-from dcsim.scenario import serialize_scenario
+from dcsim.model import dump_model, parse_model, validate
+from dcsim.scenario import ScenarioError, parse_scenario, serialize_scenario
 from tests.conftest import make_model, start_stop_scenario
 
 
@@ -74,6 +75,41 @@ class TestSimulate:
         bad = tmp_path / "bad.json"
         bad.write_text('{"servers": [], "power_models": {}, "bogus": 1}')
         assert main(simulate_args(str(bad), scenario, str(tmp_path / "out"))) == 2
+
+    @pytest.mark.parametrize("document, path, value, entity", [
+        ("model", ("servers", 0, "core_speed"), math.nan, "server s1"),
+        ("model", ("servers", 0, "ram_capacity"), math.inf, "server s1"),
+        ("model", ("power_models", "pm", "coefficients", 0), math.nan, "power model pm"),
+        ("scenario", ("templates", "tpl", "flavor", "vcpus"), 0, "template 'tpl'"),
+        ("scenario", ("templates", "tpl", "flavor", "ram"), -4096.0, "template 'tpl'"),
+        ("scenario", ("templates", "tpl", "flavor", "ram"), math.nan, "template 'tpl'"),
+        ("scenario", ("templates", "tpl", "workload", "segments", 0), [-50.0, -1.0],
+         "template 'tpl'"),
+        ("scenario", ("events", 0, "trigger", "time"), math.nan, "event 'e1'"),
+        ("scenario", ("events", 1, "trigger", "offset"), math.inf, "event 'e2'"),
+        ("scenario", ("events", 0, "request", "flavor_override"),
+         {"vcpus": 1, "ram": math.nan}, "event 'e1'"),
+    ])
+    def test_malformed_value_names_entity(self, inputs, capsys, document, path, value,
+                                          entity):
+        tmp_path, model, scenario = inputs
+        target = model if document == "model" else scenario
+        with open(target) as fh:
+            obj = json.load(fh)
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        text = json.dumps(obj)  # writes NaN/Infinity, which the loaders accept
+        with open(target, "w") as fh:
+            fh.write(text)
+        if document == "model":
+            assert any(entity in problem for problem in validate(parse_model(text)))
+        else:
+            with pytest.raises(ScenarioError, match=entity):
+                parse_scenario(text)
+        assert main(simulate_args(model, scenario, str(tmp_path / "out"))) == 2
+        assert entity in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, inputs):
         tmp_path, model, scenario = inputs

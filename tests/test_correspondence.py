@@ -3,16 +3,12 @@ import random
 import pytest
 
 from dcsim.correspondence import (
-    SERVER,
-    VM,
-    CorrespondenceModel,
-    Enacted,
     Migrate,
     Place,
     PowerOff,
     PowerOn,
     Rejected,
-    build_initial,
+    ScaleOut,
     enact,
     sync_measurements,
 )
@@ -22,11 +18,25 @@ from dcsim.model import (
     BlackBoxTrace,
     DataCenterModel,
     Initiator,
+    OpenRequestLoad,
     VmFlavor,
     VmInstance,
     VmState,
 )
-from tests.conftest import LINEAR_PM, make_harness, make_model, make_server, pump
+from dcsim.scenario import (
+    AbsoluteTime,
+    ExperimentScenario,
+    StartApplication,
+    TimelineEvent,
+)
+from tests.conftest import (
+    LINEAR_PM,
+    make_harness,
+    make_model,
+    make_server,
+    pump,
+    trace_template,
+)
 
 
 def running_vm(vm_id, ram, host):
@@ -45,39 +55,18 @@ def add_pending_vm(harness, vm_id, ram, demand=1.0, duration=10000.0):
     )
 
 
-class TestBuildInitial:
-    def test_counts_links(self):
-        model = make_model(8)
-        snapshot, corr = build_initial(model)
-        assert len(corr.links(SERVER)) == 8
-        assert len(corr.links(VM)) == 0
-        assert len(snapshot.servers) == 8
-
+class TestSync:
     def test_initial_free_ram(self):
         vm = running_vm("v1", 4096, "s1")
-        model = make_model(1, initial_vms=[vm])
-        snapshot, _ = build_initial(model)
+        snapshot = sync_measurements(make_harness(make_model(1, initial_vms=[vm])).sim)
         assert snapshot.server("s1").free_ram == 12288
-        assert snapshot.server("s1").utilization == 0.0
+        # the VM runs from t=0: demand 1.0 on 4 cores x 2.5
+        assert snapshot.server("s1").utilization == pytest.approx(0.1)
 
-    def test_deterministic(self):
-        model = make_model(3, initial_vms=[running_vm("v1", 2048, "s2")])
-        first = build_initial(model)
-        second = build_initial(model)
-        assert first[0] == second[0]
-        assert first[1].links(SERVER) == second[1].links(SERVER)
-
-    def test_rejects_invalid_model(self):
-        bad = DataCenterModel((make_server("s1", pm_id="nope"),), {"pm": LINEAR_PM})
-        with pytest.raises(ValueError):
-            build_initial(bad)
-
-
-class TestSync:
     def test_free_ram_tracks_placement(self):
         harness = make_harness(make_model(2))
         vm = add_pending_vm(harness, "v1", 4096)
-        enact(Place("v1", "s1"), harness.sim, harness.corr)
+        enact(Place("v1", "s1"), harness.sim)
         snapshot = sync_measurements(harness.sim)
         assert snapshot.server("s1").free_ram == 16384 - 4096
 
@@ -85,7 +74,7 @@ class TestSync:
         harness = make_harness(make_model(1))  # capacity 10
         for vm_id, demand in (("a", 8.0), ("b", 6.0)):
             add_pending_vm(harness, vm_id, 1024, demand=demand)
-            enact(Place(vm_id, "s1"), harness.sim, harness.corr)
+            enact(Place(vm_id, "s1"), harness.sim)
         pump(harness, 0.0)  # boot events
         snapshot = sync_measurements(harness.sim)
         assert snapshot.server("s1").utilization == pytest.approx(1.0)
@@ -105,7 +94,7 @@ class TestSync:
         layout = {"a": "s1", "b": "s1", "c": "s3"}
         for vm_id, host in layout.items():
             add_pending_vm(harness, vm_id, 2048)
-            enact(Place(vm_id, host), harness.sim, harness.corr)
+            enact(Place(vm_id, host), harness.sim)
         pump(harness, 0.0)
         snapshot = sync_measurements(harness.sim)
         for server in snapshot.servers:
@@ -113,18 +102,51 @@ class TestSync:
             assert server.free_ram == 16384 - placed
 
 
+class TestRejectedState:
+    def test_rejected_start_leaves_the_snapshot(self):
+        # 2048 MiB never fits the 1024 MiB server
+        template = trace_template([(100.0, 1.0)], vcpus=1, ram=2048.0)
+        scenario = ExperimentScenario(
+            events=[TimelineEvent("e1", AbsoluteTime(5.0), StartApplication("t", "doomed"))],
+            templates={"t": template},
+        )
+        harness = make_harness(make_model(1, ram=1024.0), scenario=scenario)
+        harness._schedule_initial_events()
+        pump(harness, 10.0)
+        assert harness.sim.vms["doomed"].state is VmState.REJECTED
+        assert "doomed" not in {v.id for v in sync_measurements(harness.sim).vms}
+
+    def test_infeasible_scale_out_is_rejected(self):
+        tier = VmInstance(
+            id="web", flavor=VmFlavor(1, 4096.0),
+            workload=OpenRequestLoad(((0.0, 10.0),), 12.0), host="s1",
+            state=VmState.RUNNING,
+        )
+        harness = make_harness(make_model(1, ram=4096.0, initial_vms=[tier]))
+        outcome = enact(ScaleOut("web"), harness.sim)
+        assert outcome == Rejected("no feasible server")
+        instance = harness.sim.vms["web-i0001"]
+        assert instance.state is VmState.REJECTED
+        assert instance.record.end_kind == "rejected"
+        assert harness.sim.apps["web"].instance_ids == ["web"]
+        pump(harness, 100.0)
+        snapshot = sync_measurements(harness.sim)
+        assert [v.id for v in snapshot.vms] == ["web"]
+        assert snapshot.applications[0].instance_ids == ("web",)
+
+
 class TestEnact:
     def test_place_exact_fit(self):
         harness = make_harness(make_model(1, ram=4096.0))
         add_pending_vm(harness, "v1", 4096)
-        outcome = enact(Place("v1", "s1"), harness.sim, harness.corr)
-        assert isinstance(outcome, Enacted)
+        outcome = enact(Place("v1", "s1"), harness.sim)
+        assert outcome is None
         assert harness.sim.servers["s1"].free_ram(harness.sim) == 0
 
     def test_place_insufficient_ram(self):
         harness = make_harness(make_model(1, ram=2048.0))
         add_pending_vm(harness, "v1", 4096)
-        outcome = enact(Place("v1", "s1"), harness.sim, harness.corr)
+        outcome = enact(Place("v1", "s1"), harness.sim)
         assert isinstance(outcome, Rejected)
         assert "RAM" in outcome.reason
 
@@ -135,36 +157,35 @@ class TestEnact:
         )
         harness = make_harness(model)
         add_pending_vm(harness, "v1", 1024)
-        outcome = enact(Place("v1", "s1"), harness.sim, harness.corr)
+        outcome = enact(Place("v1", "s1"), harness.sim)
         assert isinstance(outcome, Rejected)
 
     def test_power_off_non_empty(self):
         vm = running_vm("v1", 2048, "s1")
         harness = make_harness(make_model(1, initial_vms=[vm]))
-        outcome = enact(PowerOff("s1"), harness.sim, harness.corr)
+        outcome = enact(PowerOff("s1"), harness.sim)
         assert outcome == Rejected("server not empty")
 
     def test_power_off_then_on(self):
         harness = make_harness(make_model(1))
-        outcome = enact(PowerOff("s1"), harness.sim, harness.corr)
-        assert isinstance(outcome, Enacted)
+        assert enact(PowerOff("s1"), harness.sim) is None
         pump(harness, 0.0)
         assert harness.sim.servers["s1"].power_state == POWER_OFF
-        assert isinstance(enact(PowerOff("s1"), harness.sim, harness.corr), Rejected)
-        assert isinstance(enact(PowerOn("s1"), harness.sim, harness.corr), Enacted)
+        assert isinstance(enact(PowerOff("s1"), harness.sim), Rejected)
+        assert enact(PowerOn("s1"), harness.sim) is None
         pump(harness, 0.0)
         assert harness.sim.servers["s1"].power_state == POWER_ON
 
     def test_migration_duration_and_dual_reservation(self):
         vm = running_vm("v1", 2048, "s1")
         harness = make_harness(make_model(2, initial_vms=[vm]))
-        outcome = enact(Migrate("v1", "s1", "s2"), harness.sim, harness.corr)
-        assert isinstance(outcome, Enacted)
-        assert outcome.events[0].time == pytest.approx(2.0)  # 2048 MiB / 1024 MiB/s
+        assert enact(Migrate("v1", "s1", "s2"), harness.sim) is None
         # Both hosts carry the reservation while the copy is in flight.
         assert harness.sim.servers["s1"].free_ram(harness.sim) == 16384 - 2048
         assert harness.sim.servers["s2"].free_ram(harness.sim) == 16384 - 2048
         pump(harness, 2.0)
+        # cutover after 2048 MiB / 1024 MiB/s
+        assert harness.sim.vms["v1"].record.hosts[-1] == (pytest.approx(2.0), "s2")
         assert harness.sim.vms["v1"].host == "s2"
         assert harness.sim.servers["s1"].free_ram(harness.sim) == 16384
         assert harness.sim.servers["s2"].free_ram(harness.sim) == 16384 - 2048
@@ -173,37 +194,13 @@ class TestEnact:
         vm = running_vm("v1", 2048, "s1")
         harness = make_harness(make_model(2, initial_vms=[vm]))
         assert isinstance(
-            enact(Migrate("v1", "s2", "s1"), harness.sim, harness.corr), Rejected
+            enact(Migrate("v1", "s2", "s1"), harness.sim), Rejected
         )
 
     def test_unknown_entities(self):
         harness = make_harness(make_model(1))
-        assert isinstance(enact(Place("ghost", "s1"), harness.sim, harness.corr), Rejected)
-        assert isinstance(enact(PowerOff("s9"), harness.sim, harness.corr), Rejected)
-
-
-class TestLinks:
-    def test_bijectivity_preserved(self):
-        harness = make_harness(make_model(2))
-        for i in range(4):
-            add_pending_vm(harness, f"v{i}", 1024)
-            enact(Place(f"v{i}", f"s{(i % 2) + 1}"), harness.sim, harness.corr)
-        links = harness.corr.links(VM)
-        assert len(links) == 4
-        assert len(set(links.values())) == 4
-        for runtime_id, sim_id in links.items():
-            assert harness.corr.runtime_id(VM, sim_id) == runtime_id
-
-    def test_duplicate_link_rejected(self):
-        corr = CorrespondenceModel()
-        corr.link(VM, "a", "a")
-        with pytest.raises(ValueError):
-            corr.link(VM, "a", "b")
-
-    def test_spawn_event_auxiliary_record(self):
-        corr = CorrespondenceModel()
-        corr.vm_spawn_event["vm-1"] = "e1"
-        assert corr.vm_spawn_event["vm-1"] == "e1"
+        assert isinstance(enact(Place("ghost", "s1"), harness.sim), Rejected)
+        assert isinstance(enact(PowerOff("s9"), harness.sim), Rejected)
 
 
 def test_enactment_safety_random_action_storm():
@@ -222,16 +219,16 @@ def test_enactment_safety_random_action_storm():
                 vm_id = f"v{created}"
                 created += 1
                 add_pending_vm(harness, vm_id, rng.choice([1024, 4096, 8192]))
-                enact(Place(vm_id, server), harness.sim, harness.corr)
+                enact(Place(vm_id, server), harness.sim)
             elif roll < 0.6 and created:
                 vm_id = f"v{rng.randrange(created)}"
                 target = f"s{rng.randint(1, n_servers)}"
                 vm = harness.sim.vms[vm_id]
-                enact(Migrate(vm_id, vm.host or "s1", target), harness.sim, harness.corr)
+                enact(Migrate(vm_id, vm.host or "s1", target), harness.sim)
             elif roll < 0.8:
-                enact(PowerOff(server), harness.sim, harness.corr)
+                enact(PowerOff(server), harness.sim)
             else:
-                enact(PowerOn(server), harness.sim, harness.corr)
+                enact(PowerOn(server), harness.sim)
             now += rng.random() * 5
             pump(harness, now)
             for server_id, runtime in harness.sim.servers.items():
@@ -255,9 +252,9 @@ class TestPowerTransitionLatency:
 
         harness = self._harness()
         pump(harness, 100.0)
-        enact(PowerOff("s1"), harness.sim, harness.corr)
+        enact(PowerOff("s1"), harness.sim)
         pump(harness, 300.0)  # off takes effect at 150
-        enact(PowerOn("s1"), harness.sim, harness.corr)
+        enact(PowerOn("s1"), harness.sim)
         pump(harness, 400.0)  # on takes effect at 350
         points = harness.sim.servers["s1"].power_points
         assert points == [(0.0, 80.0), (150.0, 5.0), (350.0, 80.0)]
@@ -267,19 +264,19 @@ class TestPowerTransitionLatency:
 
     def test_pending_off_server_not_placeable(self):
         harness = self._harness()
-        enact(PowerOff("s1"), harness.sim, harness.corr)
+        enact(PowerOff("s1"), harness.sim)
         # transition runs until t=50; the server must already be unusable
         add_pending_vm(harness, "v1", 1024)
-        outcome = enact(Place("v1", "s1"), harness.sim, harness.corr)
+        outcome = enact(Place("v1", "s1"), harness.sim)
         assert isinstance(outcome, Rejected)
         snapshot = sync_measurements(harness.sim)
         assert snapshot.server("s1").power_state == POWER_OFF
 
     def test_actions_rejected_mid_transition(self):
         harness = self._harness()
-        enact(PowerOff("s1"), harness.sim, harness.corr)
-        outcome = enact(PowerOn("s1"), harness.sim, harness.corr)
+        enact(PowerOff("s1"), harness.sim)
+        outcome = enact(PowerOn("s1"), harness.sim)
         assert outcome == Rejected("server s1 has a transition in progress")
         pump(harness, 50.0)
         assert harness.sim.servers["s1"].power_state == POWER_OFF
-        assert isinstance(enact(PowerOn("s1"), harness.sim, harness.corr), Enacted)
+        assert enact(PowerOn("s1"), harness.sim) is None

@@ -27,14 +27,14 @@ def _run_engine(traces, moves, horizon=2000.0):
             f"vm{i}", VmFlavor(1, RAM), BlackBoxTrace(tuple(segments)),
             Initiator.TENANT,
         )
-        enact(Place(f"vm{i}", "s1"), harness.sim, harness.corr)
+        enact(Place(f"vm{i}", "s1"), harness.sim)
     schedule = sorted(moves, key=lambda m: m[1])
     for index, at in schedule:
         pump(harness, at)
         vm = harness.sim.vms[f"vm{index}"]
         if vm.host is not None:
             target = "s2" if vm.host == "s1" else "s1"
-            enact(Migrate(f"vm{index}", vm.host, target), harness.sim, harness.corr)
+            enact(Migrate(f"vm{index}", vm.host, target), harness.sim)
     pump(harness, horizon)
     return {
         f"vm{i}": harness.sim.vms[f"vm{i}"].record.end_time
