@@ -59,12 +59,6 @@ class RuntimeModelSnapshot:
     applications: tuple[ApplicationView, ...]
     current_time: float
 
-    def server(self, server_id: str) -> ServerView:
-        for s in self.servers:
-            if s.id == server_id:
-                return s
-        raise KeyError(server_id)
-
 
 # --- adaptation actions ------------------------------------------------------
 

@@ -8,6 +8,7 @@ seed) yield identical reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import correspondence as corr_mod
@@ -93,16 +94,13 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.end_time <= 0:
-            raise ValueError("end_time must be > 0")
-        for name in ("measurement_interval", "optimizer_interval", "autoscaler_interval"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.migration_bandwidth <= 0:
-            raise ValueError("migration_bandwidth must be > 0")
+        for name in ("end_time", "measurement_interval", "optimizer_interval",
+                     "autoscaler_interval", "migration_bandwidth"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         for name in ("boot_latency", "placement_decision_latency", "power_transition_latency"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 def integrate_energy(power_series: list[tuple[float, float]], end_time: float) -> float:
@@ -280,8 +278,9 @@ class _Engine:
         self.autoscaler_series: list[tuple[float, str, int, float]] = []
         self.handlers = {
             SCENARIO_REQUEST: lambda p: self._handle_scenario_request(*p),
-            SEGMENT_BOUNDARY: lambda p: self._handle_segment_boundary(*p),
-            VM_COMPLETED: lambda p: self._handle_vm_completed(*p),
+            # one transition; the two kinds stay apart so pops can be counted per kind
+            SEGMENT_BOUNDARY: lambda p: self.sim.finish_segment(*p),
+            VM_COMPLETED: lambda p: self.sim.finish_segment(*p),
             BOOT_FINISHED: lambda p: self._handle_boot_finished(*p),
             MIGRATION_FINISHED: lambda p: corr_mod.handle_migration_finished(self.sim, *p),
             POWER_TRANSITION_FINISHED: lambda p: corr_mod.handle_power_transition(
@@ -315,24 +314,14 @@ class _Engine:
                 vm_model.id, vm_model.flavor, vm_model.workload,
                 vm_model.initiator, app_id=app_id,
             )
-            server = self.sim.servers[vm_model.host]
-            server.vm_ids.append(vm.id)
+            self.sim.servers[vm_model.host].vm_ids.append(vm.id)
             vm.host = vm_model.host
-            vm.state = VmState.RUNNING
             vm.record.hosts.append((0.0, vm_model.host))
-            vm.record.start_time = 0.0
-            self.sim.record_lifecycle(vm, "started", host_id=vm.host)
-            if vm.is_trace():
-                if vm.workload.segments:
-                    self.sim.init_segment(vm)
-                else:
-                    self.sim.complete_vm(vm)
-                    continue
             if app_id is not None:
                 app = self.sim.apps[app_id]
                 app.instance_ids.append(vm.id)
                 self.sim.record_app_count(app, 0.0)
-                self.sim.recompute_app_demand(app, 0.0)
+            self.sim.finish_boot(vm)
 
     def _create_application(self, app_id: str, load: OpenRequestLoad, flavor) -> AppRuntime:
         app = AppRuntime(
@@ -454,32 +443,6 @@ class _Engine:
         event_id = self.event_of_vm.get(vm_id)
         if event_id is not None:
             self._complete_event(event_id, self.sim.now)
-
-    def _handle_segment_boundary(self, vm_id: str, epoch: int) -> None:
-        vm = self.sim.vms.get(vm_id)
-        if vm is None or vm.epoch != epoch:
-            return
-        if vm.state not in (VmState.RUNNING, VmState.MIGRATING) or vm.host is None:
-            return
-        self.sim.advance_host(vm.host, self.sim.now)
-        vm.seg_remaining = 0.0
-        vm.seg_idx += 1
-        if vm.seg_idx < len(vm.workload.segments):
-            self.sim.init_segment(vm)
-        self.sim.refresh_host(vm.host, self.sim.now)
-
-    def _handle_vm_completed(self, vm_id: str, epoch: int) -> None:
-        vm = self.sim.vms.get(vm_id)
-        if vm is None or vm.epoch != epoch:
-            return
-        if vm.state not in (VmState.RUNNING, VmState.MIGRATING):
-            return
-        if vm.host is not None:
-            self.sim.advance_host(vm.host, self.sim.now)
-        vm.seg_remaining = 0.0
-        vm.seg_idx = len(vm.workload.segments)
-        self.sim.complete_vm(vm)
-        self.sim.log("complete", vm_id, "ran to completion")
 
     def _handle_optimizer_tick(self, epoch: int) -> None:
         if epoch != self.sim.optimizer_epoch:

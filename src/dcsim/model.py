@@ -8,6 +8,7 @@ here is immutable after construction; mutable runtime state lives in
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -118,12 +119,8 @@ class OpenRequestLoad:
 
     def rate_at(self, t: float) -> float:
         """Offered rate at time t (0 before the first point, last value after)."""
-        rate = 0.0
-        for point_t, point_rate in self.series:
-            if point_t > t:
-                break
-            rate = point_rate
-        return rate
+        i = bisect.bisect_right(self.series, (t, math.inf))
+        return self.series[i - 1][1] if i else 0.0
 
 
 WorkloadModel = BlackBoxTrace | OpenRequestLoad

@@ -6,11 +6,17 @@ every state change settles in-progress work first and re-records the
 utilization/power series at the instant of change. Power series therefore
 stay piecewise-constant with a point at every change, which makes energy
 integration exact rather than sampled.
+
+Under processor sharing a host's next change is its earliest segment
+boundary, so each host keeps one boundary timer. ``refresh_host`` re-arms it
+for the earliest trace VM and bumps ``ServerRuntime.timer_epoch``, which
+makes the timer it replaces stale.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -25,6 +31,7 @@ from .model import (
     VmState,
     WorkloadModel,
     eval_power,
+    free_ram,
     host_capacity,
 )
 
@@ -124,7 +131,6 @@ class VmRuntime:
     seg_remaining: float = 0.0
     granted_rate: float = 0.0
     last_settle: float = 0.0
-    epoch: int = 0  # invalidates pending segment/completion events
     move_epoch: int = 0  # invalidates pending boot/migration events
 
     def is_trace(self) -> bool:
@@ -149,12 +155,12 @@ class ServerRuntime:
     pending_power: str | None = None
     vm_ids: list[str] = field(default_factory=list)  # every VM reserving RAM here
     power_epoch: int = 0
+    timer_epoch: int = 0  # invalidates the pending segment-boundary timer
     util_points: list[tuple[float, float]] = field(default_factory=list)
     power_points: list[tuple[float, float]] = field(default_factory=list)
 
     def free_ram(self, sim: "SimulationState") -> float:
-        used = sum(sim.vms[vm_id].flavor.ram for vm_id in self.vm_ids)
-        return self.spec.ram_capacity - used
+        return free_ram(self.spec, [sim.vms[vm_id] for vm_id in self.vm_ids])
 
     def usable(self) -> bool:
         """Can accept placements: powered on and not about to power off."""
@@ -277,36 +283,42 @@ class SimulationState:
         vm.last_settle = now
 
     def refresh_host(self, server_id: str, now: float) -> None:
-        """Recompute granted rates, reschedule boundaries, re-record series."""
+        """Recompute granted rates, re-arm the boundary timer, re-record series."""
         server = self.servers[server_id]
         active = self.active_vms(server_id)
         cap = host_capacity(server.spec)
         demands = [vm.current_demand(self) for vm in active]
         rates = proportional_share_rates(demands, cap)
+        server.timer_epoch += 1
+        first: VmRuntime | None = None
+        first_at = math.inf
         for vm, rate in zip(active, rates):
             vm.granted_rate = rate
-            if vm.is_trace():
-                self._schedule_boundary(vm, now)
+            at = self._boundary_time(vm, now)
+            if at < first_at:  # strict: a tie goes to the VM first in vm_ids order
+                first, first_at = vm, at
+        if first is not None:
+            last = first.seg_idx == len(first.workload.segments) - 1
+            kind = VM_COMPLETED if last else SEGMENT_BOUNDARY
+            self.schedule(first_at, kind, (server_id, server.timer_epoch, first.id))
         self.record_series_point(server_id, now)
 
-    def _schedule_boundary(self, vm: VmRuntime, now: float) -> None:
-        vm.epoch += 1
+    def _boundary_time(self, vm: VmRuntime, now: float) -> float:
+        """When the VM's current segment ends at its granted rate (inf: never)."""
+        if not vm.is_trace():
+            return math.inf
         segments = vm.workload.segments
         if vm.seg_idx >= len(segments):
-            return
+            return math.inf
         demand = segments[vm.seg_idx][1]
         remaining = max(vm.seg_remaining, 0.0)
-        if demand > 0:
-            # a granted rate of zero only arises from degenerate (denormal)
-            # demands; such a VM is starved and never finishes the segment
-            if vm.granted_rate <= 0.0:
-                return
-            eta = remaining / vm.granted_rate
-        else:
-            eta = remaining
-        last = vm.seg_idx == len(segments) - 1
-        kind = VM_COMPLETED if last else SEGMENT_BOUNDARY
-        self.schedule(now + eta, kind, (vm.id, vm.epoch))
+        if demand <= 0:
+            return now + remaining
+        # a granted rate of zero only arises from degenerate (denormal)
+        # demands; such a VM is starved and never finishes the segment
+        if vm.granted_rate <= 0.0:
+            return math.inf
+        return now + remaining / vm.granted_rate
 
     def init_segment(self, vm: VmRuntime) -> None:
         duration, demand = vm.workload.segments[vm.seg_idx]
@@ -398,6 +410,7 @@ class SimulationState:
         self.schedule(self.now + boot_delay, BOOT_FINISHED, (vm.id, vm.move_epoch))
 
     def finish_boot(self, vm: VmRuntime) -> None:
+        """Start a placed VM running: the one path for run-time and initial VMs."""
         assert vm.host is not None
         self.advance_host(vm.host, self.now)
         vm.state = VmState.RUNNING
@@ -414,6 +427,21 @@ class SimulationState:
             app = self.apps[vm.app_id]
             self.recompute_app_demand(app, self.now)
         self.refresh_host(vm.host, self.now)
+
+    def finish_segment(self, server_id: str, epoch: int, vm_id: str) -> None:
+        """Host timer: the VM's segment ends; start its next one or complete it."""
+        if epoch != self.servers[server_id].timer_epoch:
+            return
+        vm = self.vms[vm_id]
+        self.advance_host(server_id, self.now)
+        vm.seg_remaining = 0.0
+        vm.seg_idx += 1
+        if vm.seg_idx < len(vm.workload.segments):
+            self.init_segment(vm)
+            self.refresh_host(server_id, self.now)
+        else:
+            self.complete_vm(vm)
+            self.log("complete", vm_id, "ran to completion")
 
     def start_migration(self, vm: VmRuntime, target_id: str) -> None:
         """Reserve RAM on the target and schedule the cutover."""
@@ -451,7 +479,6 @@ class SimulationState:
         self._release_vm(vm, VmState.TERMINATED, "terminated")
 
     def _release_vm(self, vm: VmRuntime, final_state: VmState, kind: str) -> None:
-        vm.epoch += 1
         vm.move_epoch += 1
         touched = []
         if vm.host is not None:

@@ -49,6 +49,10 @@ def running_vm(vm_id, ram, host):
     )
 
 
+def servers(snapshot):
+    return {s.id: s for s in snapshot.servers}
+
+
 def add_pending_vm(harness, vm_id, ram, demand=1.0, duration=10000.0):
     return harness.sim.create_vm(
         vm_id, VmFlavor(1, ram), BlackBoxTrace(((duration, demand),)), Initiator.TENANT
@@ -59,16 +63,16 @@ class TestSync:
     def test_initial_free_ram(self):
         vm = running_vm("v1", 4096, "s1")
         snapshot = sync_measurements(make_harness(make_model(1, initial_vms=[vm])).sim)
-        assert snapshot.server("s1").free_ram == 12288
+        assert servers(snapshot)["s1"].free_ram == 12288
         # the VM runs from t=0: demand 1.0 on 4 cores x 2.5
-        assert snapshot.server("s1").utilization == pytest.approx(0.1)
+        assert servers(snapshot)["s1"].utilization == pytest.approx(0.1)
 
     def test_free_ram_tracks_placement(self):
         harness = make_harness(make_model(2))
         vm = add_pending_vm(harness, "v1", 4096)
         enact(Place("v1", "s1"), harness.sim)
         snapshot = sync_measurements(harness.sim)
-        assert snapshot.server("s1").free_ram == 16384 - 4096
+        assert servers(snapshot)["s1"].free_ram == 16384 - 4096
 
     def test_saturated_utilization(self):
         harness = make_harness(make_model(1))  # capacity 10
@@ -77,7 +81,7 @@ class TestSync:
             enact(Place(vm_id, "s1"), harness.sim)
         pump(harness, 0.0)  # boot events
         snapshot = sync_measurements(harness.sim)
-        assert snapshot.server("s1").utilization == pytest.approx(1.0)
+        assert servers(snapshot)["s1"].utilization == pytest.approx(1.0)
 
     def test_powered_off_server(self):
         model = DataCenterModel(
@@ -86,8 +90,8 @@ class TestSync:
         )
         harness = make_harness(model)
         snapshot = sync_measurements(harness.sim)
-        assert snapshot.server("s1").power_state == POWER_OFF
-        assert snapshot.server("s1").utilization == 0.0
+        assert servers(snapshot)["s1"].power_state == POWER_OFF
+        assert servers(snapshot)["s1"].utilization == 0.0
 
     def test_snapshot_faithful_to_placements(self):
         harness = make_harness(make_model(3))
@@ -270,7 +274,7 @@ class TestPowerTransitionLatency:
         outcome = enact(Place("v1", "s1"), harness.sim)
         assert isinstance(outcome, Rejected)
         snapshot = sync_measurements(harness.sim)
-        assert snapshot.server("s1").power_state == POWER_OFF
+        assert servers(snapshot)["s1"].power_state == POWER_OFF
 
     def test_actions_rejected_mid_transition(self):
         harness = self._harness()

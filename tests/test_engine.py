@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -6,11 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcsim.algorithms import AlgorithmConfig
-from dcsim.engine import SimConfig, integrate_energy, proportional_share_rates, run
+from dcsim.engine import (
+    SimConfig,
+    _Engine,
+    integrate_energy,
+    proportional_share_rates,
+    run,
+)
 from dcsim.model import (
     POLYNOMIAL,
+    BlackBoxTrace,
     DataCenterModel,
     PowerModel,
+    VmFlavor,
+    VmInstance,
+    VmState,
     eval_power,
 )
 from dcsim.scenario import (
@@ -200,6 +211,52 @@ class TestVmAccounting:
         kinds = [r.end_kind for r in report.vm_records.values()]
         assert sorted(kinds) == ["completed", "rejected", "rejected", "terminated"]
         assert report.rejected_placements() == 2
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", [
+    "end_time", "measurement_interval", "optimizer_interval", "autoscaler_interval",
+    "migration_bandwidth", "boot_latency", "placement_decision_latency",
+    "power_transition_latency",
+])
+def test_sim_config_rejects_non_finite(name, value):
+    # a NaN end_time never stops the run: no event time exceeds it
+    with pytest.raises(ValueError, match=name):
+        SimConfig(**{"end_time": 100.0, name: value})
+
+
+def initial_trace_vm(vm_id, segments, host="s1"):
+    return VmInstance(vm_id, VmFlavor(1, 1024.0), BlackBoxTrace(tuple(segments)),
+                      host=host, state=VmState.RUNNING)
+
+
+class TestHostTimer:
+    def test_one_timer_per_host(self):
+        rng = random.Random(11)
+        vms = [
+            initial_trace_vm(f"vm{i}", [(rng.uniform(10.0, 60.0), rng.uniform(0.0, 2.0))
+                                        for _ in range(20)])
+            for i in range(10)
+        ]
+        config = SimConfig(end_time=1e5, measurement_interval=2e5, optimizer_interval=2e5)
+        engine = _Engine(make_model(1, initial_vms=vms), ExperimentScenario(events=[]),
+                         NO_ALGO, config)
+        report = engine.run()
+        assert all(r.end_kind == "completed" for r in report.vm_records.values())
+        # each boundary arms one host timer; re-arming every VM would not fit
+        assert engine.sim.sequence <= 10 * 20 + 3 * 10
+
+    def test_simultaneous_boundaries_keep_vm_order(self):
+        # identical VMs share the host equally and reach every boundary together
+        segments = [(50.0, 2.0), (50.0, 1.0)]
+        vms = [initial_trace_vm("vm-b", segments), initial_trace_vm("vm-a", segments)]
+        report = run(make_model(1, initial_vms=vms), ExperimentScenario(events=[]),
+                     NO_ALGO, SimConfig(end_time=200.0))
+        done = [(a.time, a.subject) for a in report.actions if a.action == "complete"]
+        assert done == [(100.0, "vm-b"), (100.0, "vm-a")]
+        assert [e.vm_id for e in report.lifecycle if e.event == "completed"] == [
+            "vm-b", "vm-a"
+        ]
 
 
 def _euler_oracle(traces, capacity, dt=0.002, horizon=1000.0):
