@@ -80,6 +80,8 @@ class AlgorithmConfig:
             raise ValueError(f"unknown autoscaler algorithm {self.autoscaler!r}")
         if self.spare_servers < 0:
             raise ValueError("spare_servers must be >= 0")
+        if not math.isfinite(self.imbalance_threshold):
+            raise ValueError("imbalance_threshold must be finite")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "AlgorithmConfig":
@@ -334,14 +336,16 @@ def gen_seasonal_workload(
     from zero to ``peak`` and back each period; rates are clamped at zero.
     Deterministic for a fixed seed.
     """
-    if peak <= 0:
-        raise ValueError("peak must be > 0")
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
+    if not 0 < peak < math.inf:
+        raise ValueError("peak must be finite and > 0")
+    if not 1 <= periods < math.inf:
+        raise ValueError("periods must be finite and >= 1")
+    if not (math.isfinite(noise_low) and math.isfinite(noise_high)):
+        raise ValueError("noise bounds must be finite")
     if noise_low > noise_high:
         raise ValueError("noise_low must not exceed noise_high")
-    if step <= 0 or duration <= 0:
-        raise ValueError("step and duration must be > 0")
+    if not (0 < step < math.inf and 0 < duration < math.inf):
+        raise ValueError("step and duration must be finite and > 0")
     rng = random.Random(seed)
     series = []
     t = 0.0

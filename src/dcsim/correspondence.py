@@ -1,9 +1,11 @@
-"""Runtime-model view and adaptation enactment rules.
+"""Runtime-model view, adaptation actions, their enactment, and admission.
 
 Management algorithms never touch simulation state directly. They read a
 ``RuntimeModelSnapshot`` (a consistent copy synchronized from the
 simulation) and return ``AdaptationAction`` values, which ``enact``
-translates into simulation state changes and scheduled events. Runtime and
+translates into simulation state changes and scheduled events. ``admit``
+gives every new VM, tenant-started or scaled out, a host through the same
+steps: placement on a fresh view, then the ``Place`` rules. Runtime and
 simulation entities share their ids, so the view needs no link table.
 """
 
@@ -19,7 +21,7 @@ from .model import (
     VmFlavor,
     VmState,
 )
-from .state import POWER_TRANSITION_FINISHED, SimulationState
+from .state import POWER_TRANSITION_FINISHED, SimulationState, VmRuntime
 
 
 @dataclass(frozen=True)
@@ -249,22 +251,12 @@ def _enact(
         app = sim.apps.get(action.application_id)
         if app is None:
             return Rejected(f"unknown application {action.application_id}")
-        if sim.placement_fn is None:
-            return Rejected("no placement algorithm configured")
         instance_id = f"{app.id}-i{app.next_seq:04d}"
         app.next_seq += 1
         vm = sim.create_vm(
             instance_id, app.flavor, app.load, Initiator.AUTOSCALER, app_id=app.id
         )
-        server_id = sim.placement_fn(sync_measurements(sim), vm.flavor)
-        if server_id is None:
-            sim.reject_vm(vm)
-            return Rejected("no feasible server")
-        sim.place_vm(vm, server_id, sim.config.boot_latency)
-        app.instance_ids.append(instance_id)
-        sim.record_app_count(app, sim.now)
-        sim.log("place", f"{instance_id}->{server_id}", "enacted")
-        return None
+        return admit(vm, sim)
 
     if isinstance(action, ScaleIn):
         app = sim.apps.get(action.application_id)
@@ -283,35 +275,14 @@ def _enact(
     return Rejected(f"unsupported action {action!r}")
 
 
-def handle_boot_finished(sim: SimulationState, vm_id: str, epoch: int) -> bool:
-    """Engine hook for BOOT_FINISHED events; returns False for stale events."""
-    vm = sim.vms.get(vm_id)
-    if vm is None or vm.move_epoch != epoch or vm.state is not VmState.BOOTING:
-        return False
-    sim.finish_boot(vm)
-    return True
-
-
-def handle_migration_finished(sim: SimulationState, vm_id: str, epoch: int) -> bool:
-    vm = sim.vms.get(vm_id)
-    if vm is None or vm.move_epoch != epoch or vm.state is not VmState.MIGRATING:
-        return False
-    sim.finish_migration(vm)
-    return True
-
-
-def handle_power_transition(
-    sim: SimulationState, server_id: str, epoch: int, target_state: str
-) -> bool:
-    server = sim.servers.get(server_id)
-    if server is None or server.power_epoch != epoch or server.pending_power != target_state:
-        return False
-    if target_state == POWER_OFF and server.vm_ids:
-        server.pending_power = None
-        sim.log("power-off", server_id, "aborted: server no longer empty")
-        return False
-    sim.advance_host(server_id, sim.now)
-    server.power_state = target_state
-    server.pending_power = None
-    sim.refresh_host(server_id, sim.now)
-    return True
+def admit(
+    vm: VmRuntime, sim: SimulationState, extra_boot_delay: float = 0.0
+) -> Rejected | None:
+    """Give a new VM a host: the placement algorithm's choice on a fresh
+    view, enacted through the ``Place`` rules. A VM that no server takes
+    ends rejected."""
+    server_id = sim.placement_fn(sync_measurements(sim), vm.flavor)
+    if server_id is not None and enact(Place(vm.id, server_id), sim, extra_boot_delay) is None:
+        return None
+    sim.reject_vm(vm)
+    return Rejected("no feasible server")

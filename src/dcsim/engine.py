@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import correspondence as corr_mod
 from .algorithms import (
     OPTIMIZER_FUNCTIONS,
     PLACEMENT_FUNCTIONS,
@@ -23,10 +22,9 @@ from .algorithms import (
     reg_decide,
 )
 from .correspondence import (
-    Place,
-    Rejected,
     ScaleIn,
     ScaleOut,
+    admit,
     enact,
     sync_measurements,
 )
@@ -41,14 +39,13 @@ from .model import (
 )
 from .scenario import (
     ChangeOptimisationInterval,
-    EventStatus,
     ExperimentScenario,
     ReconfigureOptimisationAlgorithm,
+    RelativeTo,
     StartApplication,
     StopApplication,
     TimelineEvent,
     check_scenario,
-    resolve_trigger_time,
 )
 from .state import (
     AUTOSCALER_TICK,
@@ -267,11 +264,10 @@ class _Engine:
         self.scenario = scenario
         self.algorithms = algorithms
         self.config = config
-        self.sim = SimulationState(model, config)
-        self.sim.placement_fn = PLACEMENT_FUNCTIONS[algorithms.placement]
+        self.sim = SimulationState(model, config, PLACEMENT_FUNCTIONS[algorithms.placement])
         self.events: dict[str, TimelineEvent] = {ev.id: ev for ev in scenario.events}
-        self.completions: dict[str, float] = {}
-        self.pending_relative: list[TimelineEvent] = []
+        # relative events by the event whose completion triggers them, in scenario order
+        self.waiting: dict[str, list[TimelineEvent]] = {}
         self.event_of_vm: dict[str, str] = {}
         self.optimizer_id = algorithms.optimizer or "none"
         self.optimizer_interval = config.optimizer_interval
@@ -282,10 +278,8 @@ class _Engine:
             SEGMENT_BOUNDARY: lambda p: self.sim.finish_segment(*p),
             VM_COMPLETED: lambda p: self.sim.finish_segment(*p),
             BOOT_FINISHED: lambda p: self._handle_boot_finished(*p),
-            MIGRATION_FINISHED: lambda p: corr_mod.handle_migration_finished(self.sim, *p),
-            POWER_TRANSITION_FINISHED: lambda p: corr_mod.handle_power_transition(
-                self.sim, *p
-            ),
+            MIGRATION_FINISHED: lambda p: self.sim.finish_migration(*p),
+            POWER_TRANSITION_FINISHED: lambda p: self.sim.finish_power_transition(*p),
             OPTIMIZER_TICK: lambda p: self._handle_optimizer_tick(*p),
             AUTOSCALER_TICK: lambda p: self._handle_autoscaler_tick(),
             MEASUREMENT_SAMPLE: lambda p: self._handle_measurement(),
@@ -314,13 +308,7 @@ class _Engine:
                 vm_model.id, vm_model.flavor, vm_model.workload,
                 vm_model.initiator, app_id=app_id,
             )
-            self.sim.servers[vm_model.host].vm_ids.append(vm.id)
-            vm.host = vm_model.host
-            vm.record.hosts.append((0.0, vm_model.host))
-            if app_id is not None:
-                app = self.sim.apps[app_id]
-                app.instance_ids.append(vm.id)
-                self.sim.record_app_count(app, 0.0)
+            self.sim.reserve(vm, vm_model.host)
             self.sim.finish_boot(vm)
 
     def _create_application(self, app_id: str, load: OpenRequestLoad, flavor) -> AppRuntime:
@@ -336,13 +324,10 @@ class _Engine:
 
     def _schedule_initial_events(self) -> None:
         for ev in self.scenario.events:
-            ev.status = EventStatus.PENDING
-            when = resolve_trigger_time(ev, self.completions)
-            if when is None:
-                self.pending_relative.append(ev)
-            elif when <= self.config.end_time:
-                ev.status = EventStatus.READY
-                self.sim.schedule(when, SCENARIO_REQUEST, (ev.id,))
+            if isinstance(ev.trigger, RelativeTo):
+                self.waiting.setdefault(ev.trigger.reference, []).append(ev)
+            elif ev.trigger.time <= self.config.end_time:
+                self.sim.schedule(ev.trigger.time, SCENARIO_REQUEST, (ev.id,))
         self.sim.schedule(0.0, MEASUREMENT_SAMPLE, ())
         # The tick chain always runs: a scenario may switch the optimizer on
         # mid-run, and the tick is a no-op while it is "none".
@@ -354,22 +339,13 @@ class _Engine:
     # -- event handlers ------------------------------------------------------
 
     def _complete_event(self, event_id: str, when: float) -> None:
-        self.events[event_id].status = EventStatus.COMPLETED
-        self.completions[event_id] = when
-        still_pending = []
-        for ev in self.pending_relative:
-            trigger = resolve_trigger_time(ev, self.completions)
-            if trigger is None:
-                still_pending.append(ev)
-                continue
+        for ev in self.waiting.pop(event_id, ()):
+            trigger = when + ev.trigger.offset
             if trigger <= self.config.end_time:
-                ev.status = EventStatus.READY
                 self.sim.schedule(trigger, SCENARIO_REQUEST, (ev.id,))
-        self.pending_relative = still_pending
 
     def _handle_scenario_request(self, event_id: str) -> None:
         ev = self.events[event_id]
-        ev.status = EventStatus.EXECUTING
         request = ev.request
         if isinstance(request, StartApplication):
             self._handle_start(ev, request)
@@ -400,24 +376,11 @@ class _Engine:
             request.vm_id, flavor, template.workload, Initiator.TENANT, app_id=app_id
         )
         self.event_of_vm[vm.id] = ev.id
-        snapshot = sync_measurements(self.sim)
-        server_id = self.sim.placement_fn(snapshot, flavor)
-        outcome = None
-        if server_id is not None:
-            outcome = enact(
-                Place(vm.id, server_id), self.sim,
-                extra_boot_delay=self.config.placement_decision_latency,
-            )
-        if server_id is None or isinstance(outcome, Rejected):
-            self.sim.reject_vm(vm)
+        if admit(vm, self.sim, self.config.placement_decision_latency) is not None:
             self.sim.log("start-request", vm.id, "rejected: no feasible server")
             self._complete_event(ev.id, self.sim.now)
             return
-        if app_id is not None:
-            app = self.sim.apps[app_id]
-            app.instance_ids.append(vm.id)
-            self.sim.record_app_count(app, self.sim.now)
-        self.sim.log("start-request", vm.id, f"placing on {server_id}")
+        self.sim.log("start-request", vm.id, f"placing on {vm.host}")
 
     def _handle_stop(self, ev: TimelineEvent, request: StopApplication) -> None:
         target = request.target
@@ -438,8 +401,11 @@ class _Engine:
         self._complete_event(ev.id, self.sim.now)
 
     def _handle_boot_finished(self, vm_id: str, epoch: int) -> None:
-        if not corr_mod.handle_boot_finished(self.sim, vm_id, epoch):
+        """Boot timer: the VM starts running and its start event completes."""
+        vm = self.sim.vms[vm_id]
+        if epoch != vm.move_epoch:
             return
+        self.sim.finish_boot(vm)
         event_id = self.event_of_vm.get(vm_id)
         if event_id is not None:
             self._complete_event(event_id, self.sim.now)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import csv
 import logging
+import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -121,6 +122,13 @@ def _check_lifecycle_order(lifecycle: list[LifecycleEntry]) -> None:
                 ended = True
 
 
+def _finite(row: Mapping[str, str], column: str) -> float:
+    value = float(row[column])
+    if not math.isfinite(value):
+        raise ValueError(f"{column} must be finite, got {row[column]!r}")
+    return value
+
+
 def ingest_measurements(
     metric_file: str, lifecycle_file: str | None
 ) -> MeasurementStore:
@@ -137,11 +145,11 @@ def ingest_measurements(
             try:
                 metrics.append(
                     MetricSample(
-                        time=float(row["timestamp_s"]),
+                        time=_finite(row, "timestamp_s"),
                         entity_kind=row["entity_kind"],
                         entity_id=row["entity_id"],
                         metric=row["metric"],
-                        value=float(row["value"]),
+                        value=_finite(row, "value"),
                     )
                 )
             except (TypeError, ValueError) as exc:
@@ -169,12 +177,12 @@ def ingest_measurements(
                     raise ValueError(f"unknown initiator {initiator!r}")
                 lifecycle.append(
                     LifecycleEntry(
-                        time=float(row["timestamp_s"]),
+                        time=_finite(row, "timestamp_s"),
                         vm_id=row["vm_id"],
                         event=event,
                         host_id=row["host_id"] or None,
                         vcpus=int(row["flavor_vcpus"]),
-                        ram=float(row["flavor_ram_mib"]),
+                        ram=_finite(row, "flavor_ram_mib"),
                         initiator=initiator,
                     )
                 )
@@ -211,8 +219,8 @@ def extract_blackbox_workload(
     (mean per interval, previous value held over gaps) and the trailing
     segment is truncated at the VM's terminal event.
     """
-    if resample_interval <= 0:
-        raise ValueError("resample_interval must be > 0")
+    if not 0 < resample_interval < math.inf:
+        raise ValueError("resample_interval must be finite and > 0")
     servers = _server_catalog(infrastructure)
     samples = store.entity_samples("vm", vm_id, "vm_cpu_utilization")
     if not samples:
@@ -278,8 +286,10 @@ def extract_scenario(
     how gaps in monitoring surface in practice.
     """
     t0, t1 = window
-    if t0 >= t1:
+    if not t0 < t1:
         raise ValueError("window start must precede window end")
+    if not 0 < resample_interval < math.inf:
+        raise ValueError("resample_interval must be finite and > 0")
     server_filter = set(servers) if servers is not None else None
 
     submissions = [

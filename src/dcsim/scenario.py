@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Mapping
 
 from .model import (
@@ -26,13 +25,6 @@ from .model import (
 
 class ScenarioError(ValueError):
     """Raised for malformed scenario documents; message names the offender."""
-
-
-class EventStatus(str, Enum):
-    PENDING = "pending"
-    READY = "ready"
-    EXECUTING = "executing"
-    COMPLETED = "completed"
 
 
 @dataclass(frozen=True)
@@ -81,12 +73,11 @@ Request = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimelineEvent:
     id: str
     trigger: Trigger
     request: Request
-    status: EventStatus = EventStatus.PENDING
 
 
 @dataclass(frozen=True)
@@ -105,22 +96,6 @@ class ExperimentScenario:
 
     def start_events(self) -> list[TimelineEvent]:
         return [ev for ev in self.events if isinstance(ev.request, StartApplication)]
-
-
-def resolve_trigger_time(
-    event: TimelineEvent, completions: Mapping[str, float]
-) -> float | None:
-    """Trigger time of an event, or None while its dependency is unresolved.
-
-    Absolute events resolve immediately. A relative event resolves to
-    ``completion_of_reference + offset`` once the referenced event has
-    completed. Resolution is monotone: adding completions never un-resolves.
-    """
-    if isinstance(event.trigger, AbsoluteTime):
-        return event.trigger.time
-    if event.trigger.reference in completions:
-        return completions[event.trigger.reference] + event.trigger.offset
-    return None
 
 
 def _raise_problems(where: str, problems: list[str]) -> None:

@@ -7,10 +7,12 @@ utilization/power series at the instant of change. Power series therefore
 stay piecewise-constant with a point at every change, which makes energy
 integration exact rather than sampled.
 
-Under processor sharing a host's next change is its earliest segment
-boundary, so each host keeps one boundary timer. ``refresh_host`` re-arms it
-for the earliest trace VM and bumps ``ServerRuntime.timer_epoch``, which
-makes the timer it replaces stale.
+Every timer checks its own epoch, so a superseded timer does nothing: boots
+and migrations carry ``VmRuntime.move_epoch``, power transitions
+``ServerRuntime.power_epoch``. Under processor sharing a host's next change
+is its earliest segment boundary, so each host keeps one boundary timer.
+``refresh_host`` re-arms it for the earliest trace VM and bumps
+``ServerRuntime.timer_epoch``, which makes the timer it replaces stale.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ class AppRuntime:
 class SimulationState:
     """Everything the kernel mutates, plus the scheduling primitives."""
 
-    def __init__(self, model: DataCenterModel, config) -> None:
+    def __init__(self, model: DataCenterModel, config, placement_fn: Callable) -> None:
         self.model = model
         self.config = config
         self.now = 0.0
@@ -204,8 +206,8 @@ class SimulationState:
         self.action_log: list[ActionEntry] = []
         self.metrics: list[MetricSample] = []
         self.lifecycle: list[LifecycleEntry] = []
-        # Set by the engine: (snapshot, flavor) -> server id or None.
-        self.placement_fn: Callable | None = None
+        # (snapshot, flavor) -> server id or None
+        self.placement_fn = placement_fn
         self.optimizer_epoch = 0
 
     # -- scheduling ----------------------------------------------------------
@@ -399,14 +401,21 @@ class SimulationState:
         self.record_lifecycle(vm, "submitted")
         return vm
 
+    def reserve(self, vm: VmRuntime, server_id: str) -> None:
+        """Hold the VM's RAM on its host and register it with its tier."""
+        self.servers[server_id].vm_ids.append(vm.id)
+        vm.host = server_id
+        vm.record.hosts.append((self.now, server_id))
+        if vm.app_id is not None:
+            app = self.apps[vm.app_id]
+            app.instance_ids.append(vm.id)
+            self.record_app_count(app, self.now)
+
     def place_vm(self, vm: VmRuntime, server_id: str, boot_delay: float) -> None:
         """Reserve RAM now and schedule the boot completion."""
-        server = self.servers[server_id]
-        server.vm_ids.append(vm.id)
-        vm.host = server_id
+        self.reserve(vm, server_id)
         vm.state = VmState.BOOTING
         vm.move_epoch += 1
-        vm.record.hosts.append((self.now, server_id))
         self.schedule(self.now + boot_delay, BOOT_FINISHED, (vm.id, vm.move_epoch))
 
     def finish_boot(self, vm: VmRuntime) -> None:
@@ -452,7 +461,11 @@ class SimulationState:
         duration = vm.flavor.ram / self.config.migration_bandwidth
         self.schedule(self.now + duration, MIGRATION_FINISHED, (vm.id, vm.move_epoch))
 
-    def finish_migration(self, vm: VmRuntime) -> None:
+    def finish_migration(self, vm_id: str, epoch: int) -> None:
+        """Migration timer: the VM cuts over to its target host."""
+        vm = self.vms[vm_id]
+        if epoch != vm.move_epoch:
+            return
         source, target = vm.host, vm.migration_target
         assert source is not None and target is not None
         self.advance_host(source, self.now)
@@ -465,6 +478,23 @@ class SimulationState:
         self.record_lifecycle(vm, "migrated", host_id=target)
         self.refresh_host(source, self.now)
         self.refresh_host(target, self.now)
+
+    def finish_power_transition(self, server_id: str, epoch: int, target_state: str) -> None:
+        """Power timer: the server reaches ``target_state``.
+
+        A power-off aborts if a VM was placed on the server meanwhile.
+        """
+        server = self.servers[server_id]
+        if epoch != server.power_epoch or server.pending_power != target_state:
+            return
+        if target_state == POWER_OFF and server.vm_ids:
+            server.pending_power = None
+            self.log("power-off", server_id, "aborted: server no longer empty")
+            return
+        self.advance_host(server_id, self.now)
+        server.power_state = target_state
+        server.pending_power = None
+        self.refresh_host(server_id, self.now)
 
     def reject_vm(self, vm: VmRuntime) -> None:
         """End a never-placed VM whose placement found no server."""

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -359,6 +361,16 @@ class TestSeasonalWorkload:
         with pytest.raises(ValueError):
             gen_seasonal_workload(1.0, 1, 100.0, 2.0, -2.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "name", ["peak", "periods", "duration", "step", "noise_low", "noise_high"]
+    )
+    def test_nan_refused(self, name):
+        args = dict(peak=100.0, periods=1, duration=1000.0, noise_low=0.0,
+                    noise_high=0.0, seed=0, step=5.0)
+        args[name] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            gen_seasonal_workload(**args)
+
 
 def test_algorithm_config_from_dict():
     config = AlgorithmConfig.from_dict(
@@ -376,3 +388,9 @@ def test_algorithm_config_from_dict():
     assert config.reg.window == 5
     with pytest.raises(ValueError):
         AlgorithmConfig.from_dict({"placement": "first-fit"})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_algorithm_config_rejects_non_finite_threshold(value):
+    with pytest.raises(ValueError, match="imbalance_threshold"):
+        AlgorithmConfig(imbalance_threshold=value)

@@ -138,6 +138,21 @@ class TestRejectedState:
         assert [v.id for v in snapshot.vms] == ["web"]
         assert snapshot.applications[0].instance_ids == ("web",)
 
+    def test_scale_out_applies_the_place_rules(self):
+        # the placement answers the server the tier already fills
+        tier = VmInstance(
+            id="web", flavor=VmFlavor(1, 4096.0),
+            workload=OpenRequestLoad(((0.0, 10.0),), 12.0), host="s1",
+            state=VmState.RUNNING,
+        )
+        harness = make_harness(make_model(2, ram=4096.0, initial_vms=[tier]))
+        harness.sim.placement_fn = lambda snapshot, flavor: "s1"
+        assert enact(ScaleOut("web"), harness.sim) == Rejected("no feasible server")
+        assert harness.sim.vms["web-i0001"].state is VmState.REJECTED
+        assert harness.sim.servers["s1"].vm_ids == ["web"]
+        assert harness.sim.servers["s1"].free_ram(harness.sim) == 0.0
+        assert harness.sim.apps["web"].instance_ids == ["web"]
+
 
 class TestEnact:
     def test_place_exact_fit(self):

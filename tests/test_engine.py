@@ -467,6 +467,27 @@ class TestRemainingInvariants:
         report = run(model, scenario, NO_ALGO, SimConfig(end_time=2000.0))
         assert report.vm_records["c"].start_time == 100.0 + 250.0 + 400.0
 
+    def test_relative_event_never_runs_without_its_reference(self):
+        """A start stopped while booting never completes, so what chains off
+        it never triggers; a chain off the stop still does."""
+        from dcsim.scenario import RelativeTo
+
+        template = trace_template([(10000.0, 1.0)], vcpus=1, ram=1024.0)
+        events = [
+            TimelineEvent("e1", AbsoluteTime(0.0), StartApplication("t", "a")),
+            TimelineEvent("e2", AbsoluteTime(10.0), StopApplication("e1")),
+            TimelineEvent("e3", RelativeTo("e1", 0.0),
+                          ReconfigureOptimisationAlgorithm("consolidation")),
+            TimelineEvent("e4", RelativeTo("e2", 5.0), StartApplication("t", "b")),
+        ]
+        scenario = ExperimentScenario(events=events, templates={"t": template})
+        report = run(make_model(1), scenario, NO_ALGO,
+                     SimConfig(end_time=2000.0, boot_latency=100.0))
+        assert report.vm_records["a"].start_time is None
+        assert report.vm_records["a"].end_kind == "terminated"
+        assert report.vm_records["b"].submit_time == 15.0
+        assert not [a for a in report.actions if a.action == "reconfigure-optimizer"]
+
     def test_action_log_nondecreasing_and_energy_additive(self):
         model = make_model(3, idle_off=2.0)
         scenario = scenario_of_traces([[(500.0, 3.0)], [(700.0, 2.0)]])

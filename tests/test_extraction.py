@@ -104,6 +104,22 @@ class TestIngest:
         with pytest.raises(IngestError, match="header"):
             ingest_measurements(str(metrics), str(events))
 
+    @pytest.mark.parametrize("metric_row, lifecycle_row, where", [
+        ("nan,server,s1,cpu_utilization,0.5\n", "", "m.csv line 2: timestamp_s"),
+        ("0,server,s1,cpu_utilization,inf\n", "", "m.csv line 2: value"),
+        ("", "-inf,v,submitted,,1,1024,tenant\n", "e.csv line 2: timestamp_s"),
+        ("", "0,v,submitted,,1,nan,tenant\n", "e.csv line 2: flavor_ram_mib"),
+    ], ids=["metric-time-nan", "metric-value-inf", "lifecycle-time-inf", "lifecycle-ram-nan"])
+    def test_non_finite_value_names_file_and_line(
+        self, tmp_path, metric_row, lifecycle_row, where
+    ):
+        metrics = tmp_path / "m.csv"
+        metrics.write_text(METRIC_HEADER + metric_row)
+        events = tmp_path / "e.csv"
+        events.write_text(LIFECYCLE_HEADER + lifecycle_row)
+        with pytest.raises(IngestError, match=where):
+            ingest_measurements(str(metrics), str(events))
+
 
 ONE_SERVER = {"s1": make_server("s1")}  # capacity 10
 TWO_SPEED = {
@@ -149,6 +165,10 @@ class TestBlackboxWorkload:
         )
         with pytest.raises(NoBehaviorModel):
             extract_blackbox_workload(store, "v", 30.0, ONE_SERVER)
+
+    def test_nan_resample_interval_refused(self):
+        with pytest.raises(ValueError, match="resample_interval"):
+            extract_blackbox_workload(MeasurementStore(), "v", math.nan, ONE_SERVER)
 
     def test_gaps_hold_previous_value(self):
         store = MeasurementStore(
@@ -240,6 +260,14 @@ class TestExtractScenario:
     def test_bad_window(self):
         with pytest.raises(ValueError):
             extract_scenario(self._store(), (100.0, 100.0), None, True, ONE_SERVER)
+
+    @pytest.mark.parametrize("window, interval", [((math.nan, 10.0), 30.0),
+                                                  ((0.0, 10.0), math.nan)],
+                             ids=["nan-window", "nan-interval"])
+    def test_nan_window_or_interval_refused(self, window, interval):
+        with pytest.raises(ValueError):
+            extract_scenario(MeasurementStore(), window, None, True, ONE_SERVER,
+                             resample_interval=interval)
 
 
 class TestRoundTrip:

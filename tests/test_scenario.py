@@ -15,10 +15,9 @@ from dcsim.scenario import (
     StopApplication,
     TimelineEvent,
     parse_scenario,
-    resolve_trigger_time,
     serialize_scenario,
 )
-from tests.conftest import start_stop_scenario, trace_template
+from tests.conftest import trace_template
 
 START_STOP_DOC = json.dumps(
     {
@@ -175,9 +174,6 @@ class TestSerialize:
 
 
 # Random valid scenarios for the round-trip property.
-_ids = st.integers(0, 40).map(lambda i: f"ev{i}")
-
-
 @st.composite
 def scenarios(draw):
     n = draw(st.integers(0, 8))
@@ -214,35 +210,3 @@ def scenarios(draw):
 @given(scenarios())
 def test_round_trip_property(scenario):
     assert parse_scenario(serialize_scenario(scenario)) == scenario
-
-
-class TestTriggerResolution:
-    def test_absolute(self):
-        ev = TimelineEvent("e", AbsoluteTime(1747.0), ChangeOptimisationInterval(5.0))
-        assert resolve_trigger_time(ev, {}) == 1747.0
-
-    def test_relative_resolved(self):
-        ev = TimelineEvent("e", RelativeTo("e1", 1780.0), StopApplication("x"))
-        assert resolve_trigger_time(ev, {"e1": 1747.0}) == 3527.0
-
-    def test_relative_pending(self):
-        ev = TimelineEvent("e", RelativeTo("e1", 1780.0), StopApplication("x"))
-        assert resolve_trigger_time(ev, {}) is None
-
-    @given(
-        st.dictionaries(_ids, st.floats(0, 1e6), max_size=6),
-        st.dictionaries(_ids, st.floats(0, 1e6), max_size=6),
-        st.floats(0, 1e5),
-    )
-    def test_monotone(self, completions, extra, offset):
-        ev = TimelineEvent("e", RelativeTo("ev0", offset), StopApplication("x"))
-        before = resolve_trigger_time(ev, completions)
-        merged = {**extra, **completions}
-        after = resolve_trigger_time(ev, merged)
-        if before is not None:
-            assert after == before
-
-
-def test_status_defaults_pending():
-    scenario = start_stop_scenario()
-    assert all(ev.status.value == "pending" for ev in scenario.events)
