@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -50,6 +51,8 @@ log = logging.getLogger("dcsim.cli")
 
 def relative_error(measured: float, predicted: float) -> float:
     """|measured - predicted| / measured, the energy prediction error."""
+    if not (math.isfinite(measured) and math.isfinite(predicted)):
+        raise ValueError("measured and predicted energy must be finite")
     if measured == 0:
         raise ValueError("measured energy must be nonzero")
     return abs((measured - predicted) / measured)
@@ -121,6 +124,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _check_window(args) -> None:
+    if not args.frm < args.to:  # NaN fails too
+        raise ValueError("--from must precede --to")
+
+
 def _window_store(store: MeasurementStore, t0: float, t1: float) -> MeasurementStore:
     return MeasurementStore(
         metrics=[m for m in store.metrics if t0 <= m.time <= t1],
@@ -129,8 +137,7 @@ def _window_store(store: MeasurementStore, t0: float, t1: float) -> MeasurementS
 
 
 def cmd_extract(args) -> int:
-    if args.frm >= args.to:
-        raise ValueError("--from must precede --to")
+    _check_window(args)
     model = load_model(args.model)
     store = ingest_measurements(args.metrics, args.events)
     servers = args.servers.split(",") if args.servers else None
@@ -172,6 +179,7 @@ def cmd_extract(args) -> int:
 
 def cmd_fit_power(args) -> int:
     family, degree = _parse_family(args.family)
+    _check_window(args)
     store = ingest_measurements(args.metrics, args.events)
     store = _window_store(store, args.frm, args.to)
     pairs = clean_power_training_data(store, args.server, args.bin_width)

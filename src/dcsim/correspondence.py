@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .model import (
     POWER_OFF,
     POWER_ON,
-    TERMINAL_STATES,
     Initiator,
     VmFlavor,
     VmState,
@@ -129,9 +128,13 @@ def sync_measurements(sim: SimulationState) -> RuntimeModelSnapshot:
     """Fresh runtime view reflecting the simulation's current values.
 
     The returned snapshot is a consistent copy; algorithms observing it
-    mid-tick can never see partially applied plans.
+    mid-tick can never see partially applied plans. It is built from the
+    hosts alone: each lists the VMs in its ``vm_ids`` that it hosts, so a
+    migrating VM appears once, at its source, and a VM without a host
+    (pending, rejected or ended) not at all.
     """
     servers = []
+    vms = []
     for server_id, server in sim.servers.items():
         effective = POWER_ON if server.usable() else POWER_OFF
         servers.append(
@@ -145,11 +148,12 @@ def sync_measurements(sim: SimulationState) -> RuntimeModelSnapshot:
                 free_ram=server.free_ram(sim),
             )
         )
-    vms = []
-    for vm_id, vm in sim.vms.items():
-        if vm.state in TERMINAL_STATES:
-            continue
-        vms.append(VmView(vm_id, vm.flavor, vm.host, vm.state, vm.current_demand(sim)))
+        for vm_id in server.vm_ids:
+            vm = sim.vms[vm_id]
+            if vm.host == server_id:
+                vms.append(
+                    VmView(vm_id, vm.flavor, server_id, vm.state, vm.current_demand(sim))
+                )
     apps = tuple(
         ApplicationView(
             id=app_id,
@@ -239,11 +243,10 @@ def _enact(
         if target_state == POWER_OFF and server.vm_ids:
             return Rejected("server not empty")
         server.pending_power = target_state
-        server.power_epoch += 1
         sim.schedule(
             sim.now + sim.config.power_transition_latency,
             POWER_TRANSITION_FINISHED,
-            (action.server_id, server.power_epoch, target_state),
+            (action.server_id,),
         )
         return None
 

@@ -126,17 +126,16 @@ def sample_measurements(sim: SimulationState, t: float) -> None:
     VM: its share of the host expressed as a utilization fraction. The
     records feed the runtime view and the exported monitoring trace.
     """
-    for server_id in sim.servers:
+    for server_id, server in sim.servers.items():
         sim.metrics.append(
             MetricSample(t, "server", server_id, "cpu_utilization",
                          sim.server_utilization(server_id))
         )
         sim.metrics.append(
-            MetricSample(t, "server", server_id, "power_w", sim.server_power(server_id))
+            MetricSample(t, "server", server_id, "power_w", server.power_points[-1][1])
         )
         sim.metrics.append(
-            MetricSample(t, "server", server_id, "free_ram_mib",
-                         sim.servers[server_id].free_ram(sim))
+            MetricSample(t, "server", server_id, "free_ram_mib", server.free_ram(sim))
         )
     for vm_id, vm in sim.vms.items():
         if vm.state in (VmState.RUNNING, VmState.MIGRATING) and vm.host is not None:

@@ -68,9 +68,6 @@ class MeasurementStore:
             if m.entity_kind == kind and m.entity_id == entity_id and m.metric == metric
         ]
 
-    def vm_events(self, vm_id: str) -> list[LifecycleEntry]:
-        return [e for e in self.lifecycle if e.vm_id == vm_id]
-
     def started(self, vm_id: str) -> LifecycleEntry | None:
         for e in self.lifecycle:
             if e.vm_id == vm_id and e.event == "started":

@@ -7,12 +7,16 @@ utilization/power series at the instant of change. Power series therefore
 stay piecewise-constant with a point at every change, which makes energy
 integration exact rather than sampled.
 
-Every timer checks its own epoch, so a superseded timer does nothing: boots
-and migrations carry ``VmRuntime.move_epoch``, power transitions
-``ServerRuntime.power_epoch``. Under processor sharing a host's next change
-is its earliest segment boundary, so each host keeps one boundary timer.
-``refresh_host`` re-arms it for the earliest trace VM and bumps
-``ServerRuntime.timer_epoch``, which makes the timer it replaces stale.
+A host's load is derived from its VMs only in ``refresh_host``; readers take
+utilization and power from the last points of its series. The engine
+refreshes every host at t=0, before anything reads them.
+
+Boots and migrations carry ``VmRuntime.move_epoch``, so a superseded timer
+does nothing; a server has at most one power transition pending. Under
+processor sharing a host's next change is its earliest segment boundary, so
+each host keeps one boundary timer. ``refresh_host`` re-arms it for the
+earliest trace VM and bumps ``ServerRuntime.timer_epoch``, which makes the
+timer it replaces stale.
 """
 
 from __future__ import annotations
@@ -156,7 +160,6 @@ class ServerRuntime:
     power_state: str = POWER_ON
     pending_power: str | None = None
     vm_ids: list[str] = field(default_factory=list)  # every VM reserving RAM here
-    power_epoch: int = 0
     timer_epoch: int = 0  # invalidates the pending segment-boundary timer
     util_points: list[tuple[float, float]] = field(default_factory=list)
     power_points: list[tuple[float, float]] = field(default_factory=list)
@@ -253,19 +256,8 @@ class SimulationState:
         return out
 
     def server_utilization(self, server_id: str) -> float:
-        server = self.servers[server_id]
-        if server.power_state != POWER_ON:
-            return 0.0
-        cap = host_capacity(server.spec)
-        total = sum(vm.current_demand(self) for vm in self.active_vms(server_id))
-        return min(total, cap) / cap
-
-    def server_power(self, server_id: str) -> float:
-        server = self.servers[server_id]
-        if server.power_state != POWER_ON:
-            return server.spec.idle_off_power
-        pm = self.model.power_models[server.spec.power_model_id]
-        return eval_power(pm, self.server_utilization(server_id))
+        """The utilization ``refresh_host`` last recorded for the server."""
+        return self.servers[server_id].util_points[-1][1]
 
     # -- work settlement ----------------------------------------------------------
 
@@ -303,7 +295,16 @@ class SimulationState:
             last = first.seg_idx == len(first.workload.segments) - 1
             kind = VM_COMPLETED if last else SEGMENT_BOUNDARY
             self.schedule(first_at, kind, (server_id, server.timer_epoch, first.id))
-        self.record_series_point(server_id, now)
+        if server.power_state == POWER_ON:
+            util = min(sum(demands), cap) / cap
+            watts = eval_power(self.model.power_models[server.spec.power_model_id], util)
+        else:
+            util, watts = 0.0, server.spec.idle_off_power
+        for points, value in ((server.util_points, util), (server.power_points, watts)):
+            if points and points[-1][0] == now:
+                points[-1] = (now, value)
+            elif not points or points[-1][1] != value:
+                points.append((now, value))
 
     def _boundary_time(self, vm: VmRuntime, now: float) -> float:
         """When the VM's current segment ends at its granted rate (inf: never)."""
@@ -325,16 +326,6 @@ class SimulationState:
     def init_segment(self, vm: VmRuntime) -> None:
         duration, demand = vm.workload.segments[vm.seg_idx]
         vm.seg_remaining = duration * demand if demand > 0 else duration
-
-    def record_series_point(self, server_id: str, now: float) -> None:
-        server = self.servers[server_id]
-        util = self.server_utilization(server_id)
-        watts = self.server_power(server_id)
-        for points, value in ((server.util_points, util), (server.power_points, watts)):
-            if points and points[-1][0] == now:
-                points[-1] = (now, value)
-            elif not points or points[-1][1] != value:
-                points.append((now, value))
 
     # -- application demand -----------------------------------------------------
 
@@ -479,20 +470,11 @@ class SimulationState:
         self.refresh_host(source, self.now)
         self.refresh_host(target, self.now)
 
-    def finish_power_transition(self, server_id: str, epoch: int, target_state: str) -> None:
-        """Power timer: the server reaches ``target_state``.
-
-        A power-off aborts if a VM was placed on the server meanwhile.
-        """
+    def finish_power_transition(self, server_id: str) -> None:
+        """Power timer: the server reaches its pending power state."""
         server = self.servers[server_id]
-        if epoch != server.power_epoch or server.pending_power != target_state:
-            return
-        if target_state == POWER_OFF and server.vm_ids:
-            server.pending_power = None
-            self.log("power-off", server_id, "aborted: server no longer empty")
-            return
         self.advance_host(server_id, self.now)
-        server.power_state = target_state
+        server.power_state = server.pending_power
         server.pending_power = None
         self.refresh_host(server_id, self.now)
 

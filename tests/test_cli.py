@@ -213,6 +213,23 @@ class TestExtract:
         assert code == 2
 
 
+@pytest.mark.parametrize("command, frm, to", [
+    ("fit-power", "100", "50"),
+    ("fit-power", "50", "50"),
+    ("fit-power", "nan", "4000"),
+    ("fit-power", "0", "nan"),
+    ("extract", "nan", "5000"),
+    ("extract", "0", "nan"),
+])
+def test_unordered_window_names_the_flags(inputs, capsys, command, frm, to):
+    tmp_path, model, _ = inputs
+    args = [command, "--metrics", "m.csv", "--events", "e.csv",
+            "--from", frm, "--to", to, "--out", str(tmp_path / "x.json")]
+    args += ["--model", model] if command == "extract" else ["--server", "s1"]
+    assert main(args) == 2
+    assert "--from must precede --to" in capsys.readouterr().err
+
+
 class TestFitPower:
     def _metrics_file(self, tmp_path, noise=0.0):
         import random
@@ -312,6 +329,15 @@ def test_report_error_prints_table_format(capsys):
     assert main(["report-error", "--measured", "5443", "--predicted", "5464"]) == 0
     assert capsys.readouterr().out.strip() == "0.39%"
     assert main(["report-error", "--measured", "0", "--predicted", "1"]) == 2
+
+
+@pytest.mark.parametrize("measured, predicted", [
+    ("nan", "100"), ("inf", "100"), ("-inf", "100"), ("100", "nan"), ("100", "inf"),
+])
+def test_report_error_rejects_non_finite(capsys, measured, predicted):
+    code = main(["report-error", f"--measured={measured}", f"--predicted={predicted}"])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_compare_is_order_independent(inputs, tmp_path):

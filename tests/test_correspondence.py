@@ -105,6 +105,24 @@ class TestSync:
             placed = sum(2048 for v, h in layout.items() if h == server.id)
             assert server.free_ram == 16384 - placed
 
+    def test_view_lists_each_hosted_vm_once(self):
+        from dcsim.engine import SimConfig
+
+        vms = [running_vm("mover", 2048, "s1"), running_vm("gone", 2048, "s1")]
+        harness = make_harness(make_model(2, initial_vms=vms),
+                               config=SimConfig(end_time=1e9, boot_latency=30.0))
+        sim = harness.sim
+        assert enact(Migrate("mover", "s1", "s2"), sim) is None
+        sim.terminate_vm(sim.vms["gone"])
+        add_pending_vm(harness, "booting", 1024)
+        assert enact(Place("booting", "s2"), sim) is None
+        add_pending_vm(harness, "admitting", 1024)
+        listed = [(v.id, v.host, v.state) for v in sync_measurements(sim).vms]
+        assert listed == [
+            ("mover", "s1", VmState.MIGRATING),
+            ("booting", "s2", VmState.BOOTING),
+        ]
+
 
 class TestRejectedState:
     def test_rejected_start_leaves_the_snapshot(self):

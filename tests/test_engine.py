@@ -259,6 +259,72 @@ class TestHostTimer:
         ]
 
 
+def test_host_load_matches_recomputation_after_every_event():
+    """A host's utilization and power are derived once, in ``refresh_host``;
+    after every event they must equal a fresh sum over the host's VMs."""
+    from dcsim.algorithms import gen_seasonal_workload
+    from dcsim.model import POWER_ON, OpenRequestLoad, host_capacity
+    from dcsim.scenario import ApplicationTemplate
+
+    # three trace VMs ask 15 work-units/s of s1's 10
+    overload = [
+        initial_trace_vm(f"hot{i}", [(300.0, demand), (200.0, 1.0), (400.0, demand / 2)])
+        for i, demand in enumerate((6.0, 5.0, 4.0))
+    ]
+    model = make_model(4, idle_off=2.0, initial_vms=overload)
+    series = gen_seasonal_workload(40.0, 2, 3600.0, -2.0, 2.0, seed=3, step=10.0)
+    templates = {
+        "tier": ApplicationTemplate(
+            VmFlavor(1, 1024.0), OpenRequestLoad(tuple(series), per_instance_capacity=10.0)
+        ),
+        "batch": trace_template([(400.0, 3.0), (200.0, 0.0), (300.0, 1.5)], vcpus=1,
+                                ram=2048.0),
+    }
+    events = [TimelineEvent("web", AbsoluteTime(0.0), StartApplication("tier", "app"))]
+    events += [
+        TimelineEvent(f"b{k}", AbsoluteTime(150.0 * k), StartApplication("batch", f"job{k}"))
+        for k in range(6)
+    ]
+    algorithms = AlgorithmConfig(
+        placement="worst-fit-ram", optimizer="consolidation", autoscaler="react",
+        power_manager_enabled=True, spare_servers=1,
+    )
+    config = SimConfig(end_time=3600.0, optimizer_interval=200.0, autoscaler_interval=60.0,
+                       boot_latency=5.0, power_transition_latency=40.0)
+    engine = _Engine(model, ExperimentScenario(events=events, templates=templates),
+                     algorithms, config)
+    sim = engine.sim
+    popped: dict[str, int] = {}
+    saturated = set()
+
+    def check(kind, handler):
+        def checked(payload):
+            handler(payload)
+            popped[kind] = popped.get(kind, 0) + 1
+            for server_id, server in sim.servers.items():
+                if server.power_state == POWER_ON:
+                    cap = host_capacity(server.spec)
+                    demand = sum(vm.current_demand(sim) for vm in sim.active_vms(server_id))
+                    util = min(demand, cap) / cap
+                    pm = sim.model.power_models[server.spec.power_model_id]
+                    watts = eval_power(pm, util)
+                else:
+                    util, watts = 0.0, server.spec.idle_off_power
+                assert sim.server_utilization(server_id) == util, (kind, server_id)
+                assert server.power_points[-1][1] == watts, (kind, server_id)
+                if util == 1.0:
+                    saturated.add(server_id)
+        return checked
+
+    engine.handlers = {kind: check(kind, h) for kind, h in engine.handlers.items()}
+    engine.run()
+    assert "s1" in saturated
+    for kind in ("migration_finished", "power_transition_finished", "rate_update",
+                 "segment_boundary", "vm_completed", "boot_finished"):
+        assert popped.get(kind, 0) > 0, kind
+    assert any(a.action == "scale-out" and a.outcome == "enacted" for a in sim.action_log)
+
+
 def _euler_oracle(traces, capacity, dt=0.002, horizon=1000.0):
     """Brute-force GPS integrator, independent of the event-driven kernel."""
     state = []
