@@ -125,35 +125,26 @@ def describe(action: AdaptationAction) -> tuple[str, str]:
 
 
 def sync_measurements(sim: SimulationState) -> RuntimeModelSnapshot:
-    """Fresh runtime view reflecting the simulation's current values.
+    """Runtime view reflecting the simulation's current values.
 
     The returned snapshot is a consistent copy; algorithms observing it
     mid-tick can never see partially applied plans. It is built from the
     hosts alone: each lists the VMs in its ``vm_ids`` that it hosts, so a
     migrating VM appears once, at its source, and a VM without a host
     (pending, rejected or ended) not at all.
+
+    A host's ``ServerView`` and ``VmView``s are frozen, so each host keeps
+    them in ``ServerRuntime.view`` and only a host whose cache the state
+    cleared since the last call (see ``dcsim.state``) is rebuilt.
+    Application views are built afresh on every call.
     """
     servers = []
-    vms = []
+    vms: list[VmView] = []
     for server_id, server in sim.servers.items():
-        effective = POWER_ON if server.usable() else POWER_OFF
-        servers.append(
-            ServerView(
-                id=server_id,
-                cores=server.spec.cores,
-                core_speed=server.spec.core_speed,
-                ram_capacity=server.spec.ram_capacity,
-                power_state=effective,
-                utilization=sim.server_utilization(server_id),
-                free_ram=server.free_ram(sim),
-            )
-        )
-        for vm_id in server.vm_ids:
-            vm = sim.vms[vm_id]
-            if vm.host == server_id:
-                vms.append(
-                    VmView(vm_id, vm.flavor, server_id, vm.state, vm.current_demand(sim))
-                )
+        if server.view is None:
+            server.view = _host_view(sim, server_id)
+        servers.append(server.view[0])
+        vms.extend(server.view[1])
     apps = tuple(
         ApplicationView(
             id=app_id,
@@ -166,6 +157,27 @@ def sync_measurements(sim: SimulationState) -> RuntimeModelSnapshot:
     return RuntimeModelSnapshot(
         servers=tuple(servers), vms=tuple(vms), applications=apps, current_time=sim.now
     )
+
+
+def _host_view(
+    sim: SimulationState, server_id: str
+) -> tuple[ServerView, tuple[VmView, ...]]:
+    server = sim.servers[server_id]
+    view = ServerView(
+        id=server_id,
+        cores=server.spec.cores,
+        core_speed=server.spec.core_speed,
+        ram_capacity=server.spec.ram_capacity,
+        power_state=POWER_ON if server.usable() else POWER_OFF,
+        utilization=sim.server_utilization(server_id),
+        free_ram=server.free_ram,
+    )
+    vms = []
+    for vm_id in server.vm_ids:
+        vm = sim.vms[vm_id]
+        if vm.host == server_id:
+            vms.append(VmView(vm_id, vm.flavor, server_id, vm.state, vm.current_demand(sim)))
+    return view, tuple(vms)
 
 
 # --- enactment ----------------------------------------------------------------
@@ -206,7 +218,7 @@ def _enact(
             return Rejected(f"unknown server {action.server_id}")
         if not server.usable():
             return Rejected(f"server {action.server_id} is powered off")
-        if server.free_ram(sim) < vm.flavor.ram:
+        if server.free_ram < vm.flavor.ram:
             return Rejected(f"insufficient RAM on {action.server_id}")
         sim.place_vm(vm, action.server_id, extra_boot_delay + sim.config.boot_latency)
         return None
@@ -226,7 +238,7 @@ def _enact(
             return Rejected(f"unknown server {action.target}")
         if not target.usable():
             return Rejected(f"server {action.target} is powered off")
-        if target.free_ram(sim) < vm.flavor.ram:
+        if target.free_ram < vm.flavor.ram:
             return Rejected(f"insufficient RAM on {action.target}")
         sim.start_migration(vm, action.target)
         return None
@@ -243,6 +255,7 @@ def _enact(
         if target_state == POWER_OFF and server.vm_ids:
             return Rejected("server not empty")
         server.pending_power = target_state
+        server.view = None  # usable() may change
         sim.schedule(
             sim.now + sim.config.power_transition_latency,
             POWER_TRANSITION_FINISHED,

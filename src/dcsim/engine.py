@@ -123,10 +123,13 @@ def sample_measurements(sim: SimulationState, t: float) -> None:
     """Record the instantaneous measurements the runtime toolkit would see.
 
     Per server: aggregate CPU utilization, power draw, free RAM. Per active
-    VM: its share of the host expressed as a utilization fraction. The
-    records feed the runtime view and the exported monitoring trace.
+    VM (found among ``live_vms``, in creation order): its share of the host
+    expressed as a utilization fraction. The records feed the runtime view
+    and the exported monitoring trace.
     """
+    capacity = {}
     for server_id, server in sim.servers.items():
+        capacity[server_id] = host_capacity(server.spec)
         sim.metrics.append(
             MetricSample(t, "server", server_id, "cpu_utilization",
                          sim.server_utilization(server_id))
@@ -135,13 +138,13 @@ def sample_measurements(sim: SimulationState, t: float) -> None:
             MetricSample(t, "server", server_id, "power_w", server.power_points[-1][1])
         )
         sim.metrics.append(
-            MetricSample(t, "server", server_id, "free_ram_mib", server.free_ram(sim))
+            MetricSample(t, "server", server_id, "free_ram_mib", server.free_ram)
         )
-    for vm_id, vm in sim.vms.items():
+    for vm_id, vm in sim.live_vms.items():
         if vm.state in (VmState.RUNNING, VmState.MIGRATING) and vm.host is not None:
-            cap = host_capacity(sim.servers[vm.host].spec)
             sim.metrics.append(
-                MetricSample(t, "vm", vm_id, "vm_cpu_utilization", vm.granted_rate / cap)
+                MetricSample(t, "vm", vm_id, "vm_cpu_utilization",
+                             vm.granted_rate / capacity[vm.host])
             )
 
 
@@ -513,4 +516,9 @@ def run(
     config: SimConfig,
 ) -> SimulationReport:
     """Simulate the scenario against the model and return the full report."""
-    return _Engine(model, scenario, algorithms, config).run()
+    engine = _Engine(model, scenario, algorithms, config)
+    report = engine.run()
+    # The handlers' closures refer back to the engine. Dropping them frees the
+    # kernel state here, not at whichever later full collection finds the cycle.
+    engine.handlers.clear()
+    return report

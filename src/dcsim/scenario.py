@@ -189,13 +189,13 @@ def _trigger_to_dict(trigger: Trigger) -> dict:
     return {"type": "relative", "reference": trigger.reference, "offset": trigger.offset}
 
 
-def _trigger_from_dict(obj: Mapping, event_id: str) -> Trigger:
+def _trigger_from_dict(obj: Mapping) -> Trigger:
     kind = obj.get("type")
     if kind == "absolute":
         return AbsoluteTime(float(obj["time"]))
     if kind == "relative":
         return RelativeTo(str(obj["reference"]), float(obj["offset"]))
-    raise ScenarioError(f"event {event_id!r}: unknown trigger type {kind!r}")
+    raise ScenarioError(f"unknown trigger type {kind!r}")
 
 
 def _request_to_dict(request: Request) -> dict:
@@ -215,7 +215,7 @@ def _request_to_dict(request: Request) -> dict:
     return {"type": "change_optimisation_interval", "interval": request.interval}
 
 
-def _request_from_dict(obj: Mapping, event_id: str) -> Request:
+def _request_from_dict(obj: Mapping) -> Request:
     kind = obj.get("type")
     if kind == "start_application":
         override = obj.get("flavor_override")
@@ -230,7 +230,7 @@ def _request_from_dict(obj: Mapping, event_id: str) -> Request:
         return ReconfigureOptimisationAlgorithm(algorithm=str(obj["algorithm"]))
     if kind == "change_optimisation_interval":
         return ChangeOptimisationInterval(interval=float(obj["interval"]))
-    raise ScenarioError(f"event {event_id!r}: unknown request type {kind!r}")
+    raise ScenarioError(f"unknown request type {kind!r}")
 
 
 def scenario_to_dict(scenario: ExperimentScenario) -> dict:
@@ -254,27 +254,45 @@ def scenario_to_dict(scenario: ExperimentScenario) -> dict:
     }
 
 
+#: What a malformed JSON document raises while it is turned into objects.
+_MALFORMED = (ValueError, KeyError, TypeError, AttributeError)
+
+
+def _malformed(where: str, exc: Exception, path: str | None = None) -> ScenarioError:
+    """The error for a malformed entity, naming it and the file it came from."""
+    if path is not None:
+        where = f"{where} ({path})"
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ScenarioError(f"{where}: {detail}")
+
+
 def scenario_from_dict(
-    obj: Mapping, known_vm_ids: Iterable[str] = ()
+    obj: Mapping,
+    known_vm_ids: Iterable[str] = (),
+    workload_files: Mapping[str, str] | None = None,
 ) -> ExperimentScenario:
+    """Build and check a scenario. A malformed template or event is named,
+    a template with the path its workload was read from if
+    ``workload_files`` has one."""
     templates: dict[str, ApplicationTemplate] = {}
     for tid, raw in obj.get("templates", {}).items():
-        workload = raw["workload"]
-        templates[str(tid)] = ApplicationTemplate(
-            flavor=flavor_from_dict(raw["flavor"]),
-            workload=workload_from_dict(workload),
-            parameters={str(k): str(v) for k, v in raw.get("parameters", {}).items()},
-        )
+        try:
+            templates[str(tid)] = ApplicationTemplate(
+                flavor=flavor_from_dict(raw["flavor"]),
+                workload=workload_from_dict(raw["workload"]),
+                parameters={str(k): str(v) for k, v in raw.get("parameters", {}).items()},
+            )
+        except _MALFORMED as exc:
+            raise _malformed(f"template {tid!r}", exc, (workload_files or {}).get(tid)) from exc
     events = []
     for raw in obj.get("events", []):
         event_id = str(raw.get("id", "<missing id>"))
-        events.append(
-            TimelineEvent(
-                id=event_id,
-                trigger=_trigger_from_dict(raw.get("trigger", {}), event_id),
-                request=_request_from_dict(raw.get("request", {}), event_id),
-            )
-        )
+        try:
+            trigger = _trigger_from_dict(raw.get("trigger", {}))
+            request = _request_from_dict(raw.get("request", {}))
+        except _MALFORMED as exc:
+            raise _malformed(f"event {event_id!r}", exc) from exc
+        events.append(TimelineEvent(id=event_id, trigger=trigger, request=request))
     scenario = ExperimentScenario(events=events, templates=templates)
     check_scenario(scenario, known_vm_ids)
     return scenario
@@ -305,20 +323,29 @@ def load_scenario(path, known_vm_ids: Iterable[str] = ()) -> ExperimentScenario:
     """Load a scenario file, resolving ``{"file": ...}`` workload references.
 
     Template workloads may be inlined or written as ``{"file": "relative or
-    absolute path"}`` pointing at a standalone workload JSON document.
+    absolute path"}`` pointing at a standalone workload JSON document. Errors
+    name the scenario's path, or the template and its workload file's path.
     """
     import os
 
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ScenarioError("scenario must be a JSON object")
+        raise ScenarioError(f"{path}: scenario must be a JSON object")
     base = os.path.dirname(os.path.abspath(path))
+    workload_files: dict[str, str] = {}
     for tid, raw in obj.get("templates", {}).items():
         workload = raw.get("workload")
         if isinstance(workload, dict) and "file" in workload:
             ref = workload["file"]
             wl_path = ref if os.path.isabs(ref) else os.path.join(base, ref)
+            workload_files[tid] = wl_path
             with open(wl_path, "r", encoding="utf-8") as fh:
-                raw["workload"] = json.load(fh)
-    return scenario_from_dict(obj, known_vm_ids)
+                try:
+                    raw["workload"] = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise _malformed(f"template {tid!r}", exc, wl_path) from exc
+    return scenario_from_dict(obj, known_vm_ids, workload_files)

@@ -11,6 +11,16 @@ A host's load is derived from its VMs only in ``refresh_host``; readers take
 utilization and power from the last points of its series. The engine
 refreshes every host at t=0, before anything reads them.
 
+Each host also keeps two derived values. ``ServerRuntime.free_ram`` is
+re-derived with ``model.free_ram`` by ``_vm_ids_changed``, which every
+change of ``vm_ids`` calls: ``reserve``, ``start_migration`` (target),
+``finish_migration`` (source) and ``_release_vm``. ``ServerRuntime.view``
+caches the host's part of the runtime view (``sync_measurements`` fills it)
+and is cleared wherever the host or a VM it lists changes: by
+``_vm_ids_changed``, ``refresh_host``, ``start_migration`` (source) and the
+power actions of ``enact``. ``SimulationState.live_vms`` indexes the VMs not
+yet in a terminal state, in creation order.
+
 Boots and migrations carry ``VmRuntime.move_epoch``, so a superseded timer
 does nothing; a server has at most one power transition pending. Under
 processor sharing a host's next change is its earliest segment boundary, so
@@ -138,14 +148,15 @@ class VmRuntime:
     granted_rate: float = 0.0
     last_settle: float = 0.0
     move_epoch: int = 0  # invalidates pending boot/migration events
+    trace: bool = field(init=False)  # black-box trace, else a request-tier instance
 
-    def is_trace(self) -> bool:
-        return isinstance(self.workload, BlackBoxTrace)
+    def __post_init__(self) -> None:
+        self.trace = isinstance(self.workload, BlackBoxTrace)
 
     def current_demand(self, sim: "SimulationState") -> float:
         if self.state not in (VmState.RUNNING, VmState.MIGRATING):
             return 0.0
-        if self.is_trace():
+        if self.trace:
             segments = self.workload.segments
             if self.seg_idx >= len(segments):
                 return 0.0
@@ -163,9 +174,11 @@ class ServerRuntime:
     timer_epoch: int = 0  # invalidates the pending segment-boundary timer
     util_points: list[tuple[float, float]] = field(default_factory=list)
     power_points: list[tuple[float, float]] = field(default_factory=list)
+    free_ram: float = field(init=False)  # RAM not reserved by a VM in vm_ids
+    view: tuple | None = None  # (ServerView, VmViews) cached by sync_measurements
 
-    def free_ram(self, sim: "SimulationState") -> float:
-        return free_ram(self.spec, [sim.vms[vm_id] for vm_id in self.vm_ids])
+    def __post_init__(self) -> None:
+        self.free_ram = free_ram(self.spec, [])
 
     def usable(self) -> bool:
         """Can accept placements: powered on and not about to power off."""
@@ -205,6 +218,7 @@ class SimulationState:
             for s in model.servers
         }
         self.vms: dict[str, VmRuntime] = {}
+        self.live_vms: dict[str, VmRuntime] = {}  # not yet terminal, in creation order
         self.apps: dict[str, AppRuntime] = {}
         self.action_log: list[ActionEntry] = []
         self.metrics: list[MetricSample] = []
@@ -264,17 +278,13 @@ class SimulationState:
     def advance_host(self, server_id: str, now: float) -> None:
         """Settle in-progress segment work on a host up to ``now``."""
         for vm in self.active_vms(server_id):
-            self._advance_vm(vm, now)
-
-    def _advance_vm(self, vm: VmRuntime, now: float) -> None:
-        dt = now - vm.last_settle
-        if dt > 0 and vm.is_trace() and vm.seg_idx < len(vm.workload.segments):
-            demand = vm.workload.segments[vm.seg_idx][1]
-            if demand > 0:
-                vm.seg_remaining -= vm.granted_rate * dt
-            else:
-                vm.seg_remaining -= dt
-        vm.last_settle = now
+            dt = now - vm.last_settle
+            if dt > 0 and vm.trace and vm.seg_idx < len(vm.workload.segments):
+                if vm.workload.segments[vm.seg_idx][1] > 0:
+                    vm.seg_remaining -= vm.granted_rate * dt
+                else:
+                    vm.seg_remaining -= dt
+            vm.last_settle = now
 
     def refresh_host(self, server_id: str, now: float) -> None:
         """Recompute granted rates, re-arm the boundary timer, re-record series."""
@@ -284,6 +294,7 @@ class SimulationState:
         demands = [vm.current_demand(self) for vm in active]
         rates = proportional_share_rates(demands, cap)
         server.timer_epoch += 1
+        server.view = None
         first: VmRuntime | None = None
         first_at = math.inf
         for vm, rate in zip(active, rates):
@@ -308,7 +319,7 @@ class SimulationState:
 
     def _boundary_time(self, vm: VmRuntime, now: float) -> float:
         """When the VM's current segment ends at its granted rate (inf: never)."""
-        if not vm.is_trace():
+        if not vm.trace:
             return math.inf
         segments = vm.workload.segments
         if vm.seg_idx >= len(segments):
@@ -389,12 +400,14 @@ class SimulationState:
             app_id=app_id,
         )
         self.vms[vm_id] = vm
+        self.live_vms[vm_id] = vm
         self.record_lifecycle(vm, "submitted")
         return vm
 
     def reserve(self, vm: VmRuntime, server_id: str) -> None:
         """Hold the VM's RAM on its host and register it with its tier."""
         self.servers[server_id].vm_ids.append(vm.id)
+        self._vm_ids_changed(server_id)
         vm.host = server_id
         vm.record.hosts.append((self.now, server_id))
         if vm.app_id is not None:
@@ -417,7 +430,7 @@ class SimulationState:
         vm.last_settle = self.now
         vm.record.start_time = self.now
         self.record_lifecycle(vm, "started", host_id=vm.host)
-        if vm.is_trace():
+        if vm.trace:
             if not vm.workload.segments:  # empty trace: nothing to execute
                 self.complete_vm(vm)
                 return
@@ -446,6 +459,8 @@ class SimulationState:
     def start_migration(self, vm: VmRuntime, target_id: str) -> None:
         """Reserve RAM on the target and schedule the cutover."""
         self.servers[target_id].vm_ids.append(vm.id)
+        self._vm_ids_changed(target_id)
+        self.servers[vm.host].view = None  # the VM is listed there as migrating
         vm.migration_target = target_id
         vm.state = VmState.MIGRATING
         vm.move_epoch += 1
@@ -462,6 +477,7 @@ class SimulationState:
         self.advance_host(source, self.now)
         self.advance_host(target, self.now)
         self.servers[source].vm_ids.remove(vm.id)
+        self._vm_ids_changed(source)
         vm.host = target
         vm.migration_target = None
         vm.state = VmState.RUNNING
@@ -481,6 +497,7 @@ class SimulationState:
     def reject_vm(self, vm: VmRuntime) -> None:
         """End a never-placed VM whose placement found no server."""
         vm.state = VmState.REJECTED
+        del self.live_vms[vm.id]
         vm.record.end_time = self.now
         vm.record.end_kind = "rejected"
 
@@ -492,18 +509,15 @@ class SimulationState:
 
     def _release_vm(self, vm: VmRuntime, final_state: VmState, kind: str) -> None:
         vm.move_epoch += 1
-        touched = []
-        if vm.host is not None:
-            self.advance_host(vm.host, self.now)
-            self.servers[vm.host].vm_ids.remove(vm.id)
-            touched.append(vm.host)
-        if vm.migration_target is not None:
-            self.advance_host(vm.migration_target, self.now)
-            self.servers[vm.migration_target].vm_ids.remove(vm.id)
-            touched.append(vm.migration_target)
+        touched = [h for h in (vm.host, vm.migration_target) if h is not None]
+        for host in touched:
+            self.advance_host(host, self.now)
+            self.servers[host].vm_ids.remove(vm.id)
+            self._vm_ids_changed(host)
         vm.host = None
         vm.migration_target = None
         vm.state = final_state
+        del self.live_vms[vm.id]
         vm.record.end_time = self.now
         vm.record.end_kind = kind
         self.record_lifecycle(vm, kind)
@@ -514,3 +528,13 @@ class SimulationState:
             self.recompute_app_demand(app, self.now)
         for host in touched:
             self.refresh_host(host, self.now)
+
+    def _vm_ids_changed(self, server_id: str) -> None:
+        """Re-derive a host's free RAM after its ``vm_ids`` changed.
+
+        Summing afresh, not adding or subtracting the one VM's RAM, keeps the
+        value bit-for-bit what a sum over ``vm_ids`` gives.
+        """
+        server = self.servers[server_id]
+        server.free_ram = free_ram(server.spec, [self.vms[v] for v in server.vm_ids])
+        server.view = None

@@ -2,12 +2,13 @@ import csv
 import json
 import math
 import os
+import re
 
 import pytest
 
 from dcsim.cli import main, relative_error
 from dcsim.model import dump_model, parse_model, validate
-from dcsim.scenario import ScenarioError, parse_scenario, serialize_scenario
+from dcsim.scenario import ScenarioError, load_scenario, parse_scenario, serialize_scenario
 from tests.conftest import make_model, start_stop_scenario
 
 
@@ -110,6 +111,61 @@ class TestSimulate:
                 parse_scenario(text)
         assert main(simulate_args(model, scenario, str(tmp_path / "out"))) == 2
         assert entity in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("not json", "Expecting value"),
+        ('{"kind": "bogus"}', "unknown kind 'bogus'"),
+        ('{"kind": "blackbox_trace", "segments": [[1, 1]], "x": 1}', "unknown keys"),
+        ('{"kind": "blackbox_trace"}', "missing key 'segments'"),
+    ])
+    def test_workload_file_error_names_template_and_path(self, inputs, capsys, text,
+                                                         message):
+        tmp_path, model, scenario = inputs
+        with open(scenario) as fh:
+            obj = json.load(fh)
+        obj["templates"]["tpl"]["workload"] = {"file": "wl.json"}
+        with open(scenario, "w") as fh:
+            json.dump(obj, fh)
+        wl_path = str(tmp_path / "wl.json")
+        with open(wl_path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(scenario)
+        assert str(info.value).startswith(f"template 'tpl' ({wl_path}): ")
+        assert message in str(info.value)
+        assert main(simulate_args(model, scenario, str(tmp_path / "out"))) == 2
+        assert f"error: template 'tpl' ({wl_path}): " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{", "[1, 2]"])
+    def test_malformed_scenario_file_names_path(self, inputs, capsys, text):
+        tmp_path, model, scenario = inputs
+        with open(scenario, "w") as fh:
+            fh.write(text)
+        with pytest.raises(ScenarioError, match="^" + re.escape(scenario) + ": "):
+            load_scenario(scenario)
+        assert main(simulate_args(model, scenario, str(tmp_path / "out"))) == 2
+        assert f"error: {scenario}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("request", "vm_id"), None, "missing key 'vm_id'"),
+        (("trigger", "time"), "soon", "could not convert"),
+        (("request", "type"), "reboot", "unknown request type 'reboot'"),
+    ])
+    def test_malformed_event_names_event(self, inputs, capsys, path, value, message):
+        tmp_path, model, scenario = inputs
+        with open(scenario) as fh:
+            obj = json.load(fh)
+        node = obj["events"][0][path[0]]
+        if value is None:
+            del node[path[1]]
+        else:
+            node[path[1]] = value
+        with open(scenario, "w") as fh:
+            json.dump(obj, fh)
+        with pytest.raises(ScenarioError, match=f"^event 'e1': .*{re.escape(message)}"):
+            load_scenario(scenario)
+        assert main(simulate_args(model, scenario, str(tmp_path / "out"))) == 2
+        assert "error: event 'e1': " in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, inputs):
         tmp_path, model, scenario = inputs
@@ -415,3 +471,99 @@ def test_autoscaler_csv_written(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows and rows[0]["application_id"] == "web"
     assert {int(r["instances"]) for r in rows} - {0}
+
+
+#: sha256 of the report directory that ``test_simulate_reports_are_pinned``
+#: writes. Only a change that declares a behaviour change may update it.
+PINNED_REPORT_SHA256 = "907e9adc8cf5185f8fd3623ed3c1c4b037f9f7e5575f62b0ff56b796a4502dec"
+
+
+def _all_feature_inputs(tmp_path):
+    """A small seeded model and scenario touching every kernel path: trace
+    VMs overloading a host, initial and started request tiers, a relative
+    chain, stops of a started and an initial VM, a start no server can take,
+    an optimizer switch and an interval change."""
+    from dcsim.algorithms import gen_seasonal_workload
+    from dcsim.model import BlackBoxTrace, OpenRequestLoad, VmFlavor, VmInstance, VmState
+    from dcsim.scenario import (
+        AbsoluteTime,
+        ApplicationTemplate,
+        ChangeOptimisationInterval,
+        ExperimentScenario,
+        ReconfigureOptimisationAlgorithm,
+        RelativeTo,
+        StartApplication,
+        StopApplication,
+        TimelineEvent,
+    )
+    from tests.conftest import trace_template
+
+    def series(seed):
+        return tuple(gen_seasonal_workload(40.0, 2, 3600.0, -2.0, 2.0, seed=seed, step=10.0))
+
+    initial = [
+        VmInstance(f"hot{i}", VmFlavor(1, 1024.0),
+                   BlackBoxTrace(((300.0, d), (200.0, 1.0), (400.0, d / 2))),
+                   host="s1", state=VmState.RUNNING)
+        for i, d in enumerate((6.0, 5.0, 4.0))
+    ]
+    initial.append(VmInstance("front", VmFlavor(1, 1024.0),
+                              OpenRequestLoad(series(5), per_instance_capacity=10.0),
+                              host="s2", state=VmState.RUNNING))
+    model_path = tmp_path / "dc.json"
+    model_path.write_text(dump_model(make_model(4, idle_off=2.0, initial_vms=initial)))
+    templates = {
+        "tier": ApplicationTemplate(VmFlavor(1, 1024.0),
+                                    OpenRequestLoad(series(3), per_instance_capacity=10.0)),
+        "batch": trace_template([(400.0, 3.0), (200.0, 0.0), (300.0, 1.5)], vcpus=1,
+                                ram=2048.0),
+        "huge": trace_template([(100.0, 1.0)], ram=65536.0),
+    }
+    events = [TimelineEvent("web", AbsoluteTime(0.0), StartApplication("tier", "app"))]
+    events += [
+        TimelineEvent(f"b{k}", AbsoluteTime(150.0 * k), StartApplication("batch", f"job{k}"))
+        for k in range(5)
+    ]
+    events += [
+        TimelineEvent("chained", RelativeTo("b1", 60.0), StartApplication("batch", "job-c")),
+        TimelineEvent("stop-b4", RelativeTo("b4", 120.0), StopApplication("b4")),
+        TimelineEvent("stop-hot2", AbsoluteTime(700.0), StopApplication("hot2")),
+        TimelineEvent("too-big", AbsoluteTime(450.0), StartApplication("huge", "whale")),
+        TimelineEvent("balance", AbsoluteTime(1500.0),
+                      ReconfigureOptimisationAlgorithm("load-balance")),
+        TimelineEvent("faster", RelativeTo("balance", 100.0), ChangeOptimisationInterval(150.0)),
+    ]
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(
+        serialize_scenario(ExperimentScenario(events=events, templates=templates))
+    )
+    return str(model_path), str(scenario_path)
+
+
+def _report_sha256(out_dir):
+    import hashlib
+
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            digest.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return digest.hexdigest()
+
+
+def test_simulate_reports_are_pinned(tmp_path):
+    """Two runs of one seeded all-feature scenario write byte-identical
+    report directories, equal to the pinned digest."""
+    model, scenario = _all_feature_inputs(tmp_path)
+    digests = []
+    for name in ("a", "b"):
+        args = [
+            "simulate", "--model", model, "--scenario", scenario, "--out",
+            str(tmp_path / name), "--end", "3600", "--seed", "11", "--placement", "worst-fit-ram",
+            "--optimizer", "consolidation", "--autoscaler", "react", "--power-manager",
+            "--spare-servers", "1", "--optimizer-interval", "200", "--boot-latency", "5",
+            "--placement-latency", "1", "--power-transition-latency", "40",
+        ]
+        assert main(args) == 0
+        digests.append(_report_sha256(str(tmp_path / name)))
+    assert digests[0] == digests[1]
+    assert digests[0] == PINNED_REPORT_SHA256

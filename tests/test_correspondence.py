@@ -168,7 +168,7 @@ class TestRejectedState:
         assert enact(ScaleOut("web"), harness.sim) == Rejected("no feasible server")
         assert harness.sim.vms["web-i0001"].state is VmState.REJECTED
         assert harness.sim.servers["s1"].vm_ids == ["web"]
-        assert harness.sim.servers["s1"].free_ram(harness.sim) == 0.0
+        assert harness.sim.servers["s1"].free_ram == 0.0
         assert harness.sim.apps["web"].instance_ids == ["web"]
 
 
@@ -178,7 +178,7 @@ class TestEnact:
         add_pending_vm(harness, "v1", 4096)
         outcome = enact(Place("v1", "s1"), harness.sim)
         assert outcome is None
-        assert harness.sim.servers["s1"].free_ram(harness.sim) == 0
+        assert harness.sim.servers["s1"].free_ram == 0
 
     def test_place_insufficient_ram(self):
         harness = make_harness(make_model(1, ram=2048.0))
@@ -218,14 +218,14 @@ class TestEnact:
         harness = make_harness(make_model(2, initial_vms=[vm]))
         assert enact(Migrate("v1", "s1", "s2"), harness.sim) is None
         # Both hosts carry the reservation while the copy is in flight.
-        assert harness.sim.servers["s1"].free_ram(harness.sim) == 16384 - 2048
-        assert harness.sim.servers["s2"].free_ram(harness.sim) == 16384 - 2048
+        assert harness.sim.servers["s1"].free_ram == 16384 - 2048
+        assert harness.sim.servers["s2"].free_ram == 16384 - 2048
         pump(harness, 2.0)
         # cutover after 2048 MiB / 1024 MiB/s
         assert harness.sim.vms["v1"].record.hosts[-1] == (pytest.approx(2.0), "s2")
         assert harness.sim.vms["v1"].host == "s2"
-        assert harness.sim.servers["s1"].free_ram(harness.sim) == 16384
-        assert harness.sim.servers["s2"].free_ram(harness.sim) == 16384 - 2048
+        assert harness.sim.servers["s1"].free_ram == 16384
+        assert harness.sim.servers["s2"].free_ram == 16384 - 2048
 
     def test_migrate_source_mismatch(self):
         vm = running_vm("v1", 2048, "s1")
@@ -269,7 +269,7 @@ def test_enactment_safety_random_action_storm():
             now += rng.random() * 5
             pump(harness, now)
             for server_id, runtime in harness.sim.servers.items():
-                assert runtime.free_ram(harness.sim) >= 0, f"trial {trial}"
+                assert runtime.free_ram >= 0, f"trial {trial}"
             for vm in harness.sim.vms.values():
                 if vm.host is not None:
                     assert harness.sim.servers[vm.host].power_state == POWER_ON

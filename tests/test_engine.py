@@ -259,12 +259,13 @@ class TestHostTimer:
         ]
 
 
-def test_host_load_matches_recomputation_after_every_event():
-    """A host's utilization and power are derived once, in ``refresh_host``;
-    after every event they must equal a fresh sum over the host's VMs."""
+def _all_feature_engine() -> _Engine:
+    """Trace VMs overloading s1, a request tier under React, consolidation,
+    the power manager with a 40 s transition latency, stops of a started
+    and an initial VM, and a start that no server can take."""
     from dcsim.algorithms import gen_seasonal_workload
-    from dcsim.model import POWER_ON, OpenRequestLoad, host_capacity
-    from dcsim.scenario import ApplicationTemplate
+    from dcsim.model import OpenRequestLoad
+    from dcsim.scenario import ApplicationTemplate, RelativeTo
 
     # three trace VMs ask 15 work-units/s of s1's 10
     overload = [
@@ -279,11 +280,17 @@ def test_host_load_matches_recomputation_after_every_event():
         ),
         "batch": trace_template([(400.0, 3.0), (200.0, 0.0), (300.0, 1.5)], vcpus=1,
                                 ram=2048.0),
+        "huge": trace_template([(100.0, 1.0)], ram=65536.0),
     }
     events = [TimelineEvent("web", AbsoluteTime(0.0), StartApplication("tier", "app"))]
     events += [
         TimelineEvent(f"b{k}", AbsoluteTime(150.0 * k), StartApplication("batch", f"job{k}"))
         for k in range(6)
+    ]
+    events += [
+        TimelineEvent("stop-b4", RelativeTo("b4", 120.0), StopApplication("b4")),
+        TimelineEvent("stop-hot2", AbsoluteTime(700.0), StopApplication("hot2")),
+        TimelineEvent("too-big", AbsoluteTime(450.0), StartApplication("huge", "whale")),
     ]
     algorithms = AlgorithmConfig(
         placement="worst-fit-ram", optimizer="consolidation", autoscaler="react",
@@ -291,38 +298,100 @@ def test_host_load_matches_recomputation_after_every_event():
     )
     config = SimConfig(end_time=3600.0, optimizer_interval=200.0, autoscaler_interval=60.0,
                        boot_latency=5.0, power_transition_latency=40.0)
-    engine = _Engine(model, ExperimentScenario(events=events, templates=templates),
-                     algorithms, config)
-    sim = engine.sim
-    popped: dict[str, int] = {}
-    saturated = set()
+    return _Engine(model, ExperimentScenario(events=events, templates=templates),
+                   algorithms, config)
 
-    def check(kind, handler):
-        def checked(payload):
+
+def _after_every_event(engine: _Engine, check) -> dict[str, int]:
+    """Run the engine, calling ``check(kind)`` after each popped event;
+    return the pops per kind."""
+    popped: dict[str, int] = {}
+
+    def checked(kind, handler):
+        def run_then_check(payload):
             handler(payload)
             popped[kind] = popped.get(kind, 0) + 1
-            for server_id, server in sim.servers.items():
-                if server.power_state == POWER_ON:
-                    cap = host_capacity(server.spec)
-                    demand = sum(vm.current_demand(sim) for vm in sim.active_vms(server_id))
-                    util = min(demand, cap) / cap
-                    pm = sim.model.power_models[server.spec.power_model_id]
-                    watts = eval_power(pm, util)
-                else:
-                    util, watts = 0.0, server.spec.idle_off_power
-                assert sim.server_utilization(server_id) == util, (kind, server_id)
-                assert server.power_points[-1][1] == watts, (kind, server_id)
-                if util == 1.0:
-                    saturated.add(server_id)
-        return checked
+            check(kind)
+        return run_then_check
 
-    engine.handlers = {kind: check(kind, h) for kind, h in engine.handlers.items()}
+    engine.handlers = {kind: checked(kind, h) for kind, h in engine.handlers.items()}
     engine.run()
+    return popped
+
+
+def test_host_load_matches_recomputation_after_every_event():
+    """A host's utilization and power are derived once, in ``refresh_host``;
+    after every event they must equal a fresh sum over the host's VMs."""
+    from dcsim.model import POWER_ON, host_capacity
+
+    engine = _all_feature_engine()
+    sim = engine.sim
+    saturated = set()
+
+    def check(kind):
+        for server_id, server in sim.servers.items():
+            if server.power_state == POWER_ON:
+                cap = host_capacity(server.spec)
+                demand = sum(vm.current_demand(sim) for vm in sim.active_vms(server_id))
+                util = min(demand, cap) / cap
+                pm = sim.model.power_models[server.spec.power_model_id]
+                watts = eval_power(pm, util)
+            else:
+                util, watts = 0.0, server.spec.idle_off_power
+            assert sim.server_utilization(server_id) == util, (kind, server_id)
+            assert server.power_points[-1][1] == watts, (kind, server_id)
+            if util == 1.0:
+                saturated.add(server_id)
+
+    popped = _after_every_event(engine, check)
     assert "s1" in saturated
     for kind in ("migration_finished", "power_transition_finished", "rate_update",
                  "segment_boundary", "vm_completed", "boot_finished"):
         assert popped.get(kind, 0) > 0, kind
     assert any(a.action == "scale-out" and a.outcome == "enacted" for a in sim.action_log)
+
+
+def test_kept_view_free_ram_and_live_index_match_a_rebuild_after_every_event():
+    """Each host's cached runtime view, its kept free RAM and the live-VM
+    index must equal a from-scratch build from ``servers``, ``vm_ids`` and
+    ``vms`` after every event."""
+    from dcsim.correspondence import ServerView, VmView, sync_measurements
+    from dcsim.model import POWER_OFF, POWER_ON, TERMINAL_STATES
+
+    engine = _all_feature_engine()
+    sim = engine.sim
+
+    def check(kind):
+        servers, vms = [], []
+        for server_id, server in sim.servers.items():
+            used = sum(sim.vms[vm_id].flavor.ram for vm_id in server.vm_ids)
+            assert server.free_ram == server.spec.ram_capacity - used, (kind, server_id)
+            servers.append(ServerView(
+                server_id, server.spec.cores, server.spec.core_speed,
+                server.spec.ram_capacity, POWER_ON if server.usable() else POWER_OFF,
+                sim.server_utilization(server_id), server.spec.ram_capacity - used,
+            ))
+            vms += [
+                VmView(vm.id, vm.flavor, server_id, vm.state, vm.current_demand(sim))
+                for vm in (sim.vms[vm_id] for vm_id in server.vm_ids)
+                if vm.host == server_id
+            ]
+        snapshot = sync_measurements(sim)
+        assert snapshot.servers == tuple(servers), kind
+        assert snapshot.vms == tuple(vms), kind
+        live = [(i, vm) for i, vm in sim.vms.items() if vm.state not in TERMINAL_STATES]
+        assert list(sim.live_vms.items()) == live, kind
+
+    popped = _after_every_event(engine, check)
+    for kind in ("migration_finished", "power_transition_finished", "rate_update",
+                 "segment_boundary", "vm_completed", "boot_finished"):
+        assert popped.get(kind, 0) > 0, kind
+    outcomes = {(a.action, a.subject): a.outcome for a in sim.action_log}
+    assert outcomes[("start-request", "whale")] == "rejected: no feasible server"
+    assert outcomes[("stop-request", "job4")] == "terminated job4"
+    assert outcomes[("stop-request", "hot2")] == "terminated hot2"
+    assert any(a.action == "scale-in" and a.outcome == "enacted" for a in sim.action_log)
+    assert any(a.action == "migrate" and a.outcome == "enacted" for a in sim.action_log)
 
 
 def _euler_oracle(traces, capacity, dt=0.002, horizon=1000.0):
