@@ -14,6 +14,8 @@ import logging
 import math
 import statistics
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -45,6 +47,8 @@ log = logging.getLogger("dcsim.extraction")
 LIFECYCLE_EVENTS = ("submitted", "started", "migrated", "terminated", "completed")
 TERMINAL_EVENTS = ("terminated", "completed")
 
+_by_time = attrgetter("time")
+
 
 class IngestError(ValueError):
     """Malformed or ill-ordered monitoring data; message carries location."""
@@ -56,46 +60,70 @@ class NoBehaviorModel(Exception):
 
 @dataclass
 class MeasurementStore:
-    """Historical monitoring data: metric samples plus VM lifecycle records."""
+    """Historical monitoring data: metric samples plus VM lifecycle records.
+
+    The queries answer from an index that the first query builds: the
+    samples of each ``(entity kind, entity id, metric)`` series and the
+    lifecycle entries of each VM, each list stably sorted by time, plus the
+    times and hosts of each VM's placements. The index refers to the stored
+    records and copies none. A store is read-only once it has been queried:
+    records added or changed after that are not seen by the queries.
+    """
 
     metrics: list[MetricSample] = field(default_factory=list)
     lifecycle: list[LifecycleEntry] = field(default_factory=list)
 
+    @cached_property
+    def _series(self) -> dict[tuple[str, str, str], list[MetricSample]]:
+        series: dict[tuple[str, str, str], list[MetricSample]] = {}
+        for m in self.metrics:
+            series.setdefault((m.entity_kind, m.entity_id, m.metric), []).append(m)
+        for samples in series.values():
+            samples.sort(key=_by_time)
+        return series
+
+    @cached_property
+    def _vm_entries(self) -> dict[str, list[LifecycleEntry]]:
+        by_vm: dict[str, list[LifecycleEntry]] = {}
+        for entry in self.lifecycle:
+            by_vm.setdefault(entry.vm_id, []).append(entry)
+        for entries in by_vm.values():
+            entries.sort(key=_by_time)
+        return by_vm
+
+    @cached_property
+    def _placements(self) -> dict[str, tuple[list[float], list[str | None]]]:
+        """Per VM, the times and hosts of its started and migrated entries."""
+        placements = {}
+        for vm_id, entries in self._vm_entries.items():
+            moves = [e for e in entries if e.event in ("started", "migrated")]
+            placements[vm_id] = ([e.time for e in moves], [e.host_id for e in moves])
+        return placements
+
     def entity_samples(self, kind: str, entity_id: str, metric: str) -> list[tuple[float, float]]:
-        return [
-            (m.time, m.value)
-            for m in self.metrics
-            if m.entity_kind == kind and m.entity_id == entity_id and m.metric == metric
-        ]
+        return [(m.time, m.value) for m in self._series.get((kind, entity_id, metric), ())]
 
     def started(self, vm_id: str) -> LifecycleEntry | None:
-        for e in self.lifecycle:
-            if e.vm_id == vm_id and e.event == "started":
+        for e in self._vm_entries.get(vm_id, ()):
+            if e.event == "started":
                 return e
         return None
 
     def terminal(self, vm_id: str) -> LifecycleEntry | None:
-        for e in self.lifecycle:
-            if e.vm_id == vm_id and e.event in TERMINAL_EVENTS:
+        for e in self._vm_entries.get(vm_id, ()):
+            if e.event in TERMINAL_EVENTS:
                 return e
         return None
 
     def host_at(self, vm_id: str, t: float) -> str | None:
         """Host of a VM at time t, following migrations."""
-        host = None
-        for e in self.lifecycle:
-            if e.vm_id != vm_id or e.time > t:
-                continue
-            if e.event in ("started", "migrated"):
-                host = e.host_id
-        return host
+        times, hosts = self._placements.get(vm_id, ((), ()))
+        index = bisect.bisect_right(times, t)
+        return hosts[index - 1] if index else None
 
 
-def _check_lifecycle_order(lifecycle: list[LifecycleEntry]) -> None:
-    by_vm: dict[str, list[LifecycleEntry]] = {}
-    for entry in lifecycle:
-        by_vm.setdefault(entry.vm_id, []).append(entry)
-    for vm_id, entries in by_vm.items():
+def _check_lifecycle_order(store: MeasurementStore) -> None:
+    for vm_id, entries in store._vm_entries.items():
         submitted = started = ended = False
         for entry in entries:
             if ended:
@@ -154,7 +182,7 @@ def ingest_measurements(
 
     lifecycle = []
     if lifecycle_file is None:
-        metrics.sort(key=lambda m: m.time)
+        metrics.sort(key=_by_time)
         return MeasurementStore(metrics=metrics, lifecycle=[])
     with open(lifecycle_file, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -186,10 +214,11 @@ def ingest_measurements(
             except (TypeError, ValueError) as exc:
                 raise IngestError(f"{lifecycle_file} line {line}: {exc}") from exc
 
-    metrics.sort(key=lambda m: m.time)
-    lifecycle.sort(key=lambda e: e.time)
-    _check_lifecycle_order(lifecycle)
-    return MeasurementStore(metrics=metrics, lifecycle=lifecycle)
+    metrics.sort(key=_by_time)
+    lifecycle.sort(key=_by_time)
+    store = MeasurementStore(metrics=metrics, lifecycle=lifecycle)
+    _check_lifecycle_order(store)
+    return store
 
 
 # --- black-box workload reconstruction ----------------------------------------
@@ -227,15 +256,18 @@ def extract_blackbox_workload(
         raise NoBehaviorModel(f"vm {vm_id}: no started record to anchor the trace")
     start_time = started.time
 
-    demands = []
+    # The samples are in time order, so each window's demands are one slice.
+    times: list[float] = []
+    demands: list[float] = []
     for t, u in samples:
         host = store.host_at(vm_id, t)
         if host is None or host not in servers:
             raise NoBehaviorModel(f"vm {vm_id}: host unknown at t={t}")
-        demands.append((t, max(0.0, u) * host_capacity(servers[host])))
+        times.append(t)
+        demands.append(max(0.0, u) * host_capacity(servers[host]))
 
     terminal = store.terminal(vm_id)
-    end_time = terminal.time if terminal is not None else demands[-1][0] + resample_interval
+    end_time = terminal.time if terminal is not None else times[-1] + resample_interval
     if end_time <= start_time:
         raise NoBehaviorModel(f"vm {vm_id}: empty observation window")
 
@@ -247,7 +279,7 @@ def extract_blackbox_workload(
         if lo >= end_time:
             break
         hi = min(lo + resample_interval, end_time)
-        in_window = [d for t, d in demands if lo <= t < hi]
+        in_window = demands[bisect.bisect_left(times, lo):bisect.bisect_left(times, hi)]
         if in_window:
             last_demand = sum(in_window) / len(in_window)
         segments.append((hi - lo, last_demand))
@@ -423,23 +455,31 @@ def _fit_polynomial(u: np.ndarray, p: np.ndarray, degree: int) -> np.ndarray:
     return coeffs
 
 
-def _exp_residual_jacobian(theta: np.ndarray, u: np.ndarray, p: np.ndarray):
+def _cubic_columns(u: np.ndarray) -> np.ndarray:
+    """The columns u, u**2, u**3 and 1 that every design matrix and Jacobian
+    of one exponential fit starts with."""
+    return np.column_stack([u, u**2, u**3, np.ones_like(u)])
+
+
+def _exp_residual_jacobian(
+    theta: np.ndarray, u: np.ndarray, cubic: np.ndarray, p: np.ndarray
+):
     c0, c1, c2, c3, a, b = theta
     with np.errstate(over="ignore"):
         eb = np.exp(np.clip(b * u, -700.0, 700.0))
-    prediction = c0 * u + c1 * u**2 + c2 * u**3 + c3 + a * (eb - 1.0)
+    prediction = c0 * u + c1 * cubic[:, 1] + c2 * cubic[:, 2] + c3 + a * (eb - 1.0)
     residual = prediction - p
-    jac = np.column_stack([u, u**2, u**3, np.ones_like(u), eb - 1.0, a * u * eb])
+    jac = np.column_stack([cubic, eb - 1.0, a * u * eb])
     return residual, jac
 
 
 def _linear_fit_given_slope(
-    u: np.ndarray, p: np.ndarray, b: float
+    u: np.ndarray, cubic: np.ndarray, p: np.ndarray, b: float
 ) -> tuple[np.ndarray, float]:
     """Exact least squares for the five linear coefficients at a fixed b."""
     with np.errstate(over="ignore"):
         column = np.exp(np.clip(b * u, -700.0, 700.0)) - 1.0
-    design = np.column_stack([u, u**2, u**3, np.ones_like(u), column])
+    design = np.column_stack([cubic, column])
     coeffs, _, _, _ = np.linalg.lstsq(design, p, rcond=None)
     residual = design @ coeffs - p
     return coeffs, float(residual @ residual)
@@ -460,13 +500,14 @@ def _fit_exponential(
     the iteration cap is reached.
     """
     iterations = 0
+    cubic = _cubic_columns(u)
 
     grid = [b for b in np.linspace(-24.0, 24.0, 97) if abs(b) > 1e-9]
     best_b = grid[0]
     best_rss = np.inf
     for b in grid:
         iterations += 1
-        _, rss = _linear_fit_given_slope(u, p, b)
+        _, rss = _linear_fit_given_slope(u, cubic, p, b)
         if rss < best_rss:
             best_rss, best_b = rss, b
 
@@ -474,28 +515,29 @@ def _fit_exponential(
     lo, hi = best_b - step, best_b + step
     golden = (np.sqrt(5.0) - 1.0) / 2.0
     x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
-    f1 = _linear_fit_given_slope(u, p, x1)[1]
-    f2 = _linear_fit_given_slope(u, p, x2)[1]
+    f1 = _linear_fit_given_slope(u, cubic, p, x1)[1]
+    f2 = _linear_fit_given_slope(u, cubic, p, x2)[1]
     while hi - lo > 1e-12 and iterations < max_iterations // 2:
         iterations += 1
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - golden * (hi - lo)
-            f1 = _linear_fit_given_slope(u, p, x1)[1]
+            f1 = _linear_fit_given_slope(u, cubic, p, x1)[1]
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + golden * (hi - lo)
-            f2 = _linear_fit_given_slope(u, p, x2)[1]
+            f2 = _linear_fit_given_slope(u, cubic, p, x2)[1]
     b_star = (lo + hi) / 2.0
-    linear, rss = _linear_fit_given_slope(u, p, b_star)
+    linear, rss = _linear_fit_given_slope(u, cubic, p, b_star)
     theta = np.array([*linear, b_star], dtype=float)
 
-    # Damped Gauss-Newton polish on all six coefficients.
+    # Damped Gauss-Newton polish on all six coefficients. An accepted step's
+    # residual and Jacobian are the next iteration's.
     lam = 1e-6
     converged = False
+    residual, jac = _exp_residual_jacobian(theta, u, cubic, p)
     while iterations < max_iterations:
         iterations += 1
-        residual, jac = _exp_residual_jacobian(theta, u, p)
         gradient = jac.T @ residual
         hessian = jac.T @ jac
         improvement = 0.0
@@ -508,11 +550,12 @@ def _fit_exponential(
                 lam *= 10.0
                 continue
             candidate = theta + delta
-            cand_residual, _ = _exp_residual_jacobian(candidate, u, p)
+            cand_residual, cand_jac = _exp_residual_jacobian(candidate, u, cubic, p)
             cand_rss = float(cand_residual @ cand_residual)
             if np.isfinite(cand_rss) and cand_rss <= rss:
                 improvement = rss - cand_rss
                 theta, rss = candidate, cand_rss
+                residual, jac = cand_residual, cand_jac
                 lam = max(lam * 0.3, 1e-14)
                 stepped = True
                 break

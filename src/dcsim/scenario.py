@@ -266,6 +266,13 @@ def _malformed(where: str, exc: Exception, path: str | None = None) -> ScenarioE
     return ScenarioError(f"{where}: {detail}")
 
 
+def _templates_of(obj: Mapping) -> Mapping:
+    templates = obj.get("templates", {})
+    if not isinstance(templates, dict):
+        raise ScenarioError("templates must be a JSON object")
+    return templates
+
+
 def scenario_from_dict(
     obj: Mapping,
     known_vm_ids: Iterable[str] = (),
@@ -273,9 +280,10 @@ def scenario_from_dict(
 ) -> ExperimentScenario:
     """Build and check a scenario. A malformed template or event is named,
     a template with the path its workload was read from if
-    ``workload_files`` has one."""
+    ``workload_files`` has one, and an event that is not an object by its
+    index."""
     templates: dict[str, ApplicationTemplate] = {}
-    for tid, raw in obj.get("templates", {}).items():
+    for tid, raw in _templates_of(obj).items():
         try:
             templates[str(tid)] = ApplicationTemplate(
                 flavor=flavor_from_dict(raw["flavor"]),
@@ -284,8 +292,13 @@ def scenario_from_dict(
             )
         except _MALFORMED as exc:
             raise _malformed(f"template {tid!r}", exc, (workload_files or {}).get(tid)) from exc
+    raw_events = obj.get("events", [])
+    if not isinstance(raw_events, list):
+        raise ScenarioError("events must be a JSON array")
     events = []
-    for raw in obj.get("events", []):
+    for index, raw in enumerate(raw_events):
+        if not isinstance(raw, dict):
+            raise ScenarioError(f"events[{index}] must be a JSON object")
         event_id = str(raw.get("id", "<missing id>"))
         try:
             trigger = _trigger_from_dict(raw.get("trigger", {}))
@@ -337,10 +350,12 @@ def load_scenario(path, known_vm_ids: Iterable[str] = ()) -> ExperimentScenario:
         raise ScenarioError(f"{path}: scenario must be a JSON object")
     base = os.path.dirname(os.path.abspath(path))
     workload_files: dict[str, str] = {}
-    for tid, raw in obj.get("templates", {}).items():
-        workload = raw.get("workload")
+    for tid, raw in _templates_of(obj).items():
+        workload = raw.get("workload") if isinstance(raw, dict) else None
         if isinstance(workload, dict) and "file" in workload:
             ref = workload["file"]
+            if not isinstance(ref, str):
+                raise ScenarioError(f"template {tid!r}: workload file must be a path")
             wl_path = ref if os.path.isabs(ref) else os.path.join(base, ref)
             workload_files[tid] = wl_path
             with open(wl_path, "r", encoding="utf-8") as fh:

@@ -167,6 +167,26 @@ class TestSimulate:
         assert main(simulate_args(model, scenario, str(tmp_path / "out"))) == 2
         assert "error: event 'e1': " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda doc: doc.update(templates=[1]), "templates must be a JSON object"),
+        (lambda doc: doc["templates"].update(tpl=1), "template 'tpl': "),
+        (lambda doc: doc["templates"]["tpl"].update(workload={"file": 5}),
+         "template 'tpl': workload file must be a path"),
+        (lambda doc: doc.update(events=5), "events must be a JSON array"),
+        (lambda doc: doc["events"].append(1), "events[2] must be a JSON object"),
+    ], ids=["templates-list", "template-int", "workload-file-int", "events-int", "event-int"])
+    def test_malformed_shape_names_entity(self, inputs, capsys, mutate, message):
+        tmp_path, model, scenario = inputs
+        with open(scenario) as fh:
+            obj = json.load(fh)
+        mutate(obj)
+        with open(scenario, "w") as fh:
+            json.dump(obj, fh)
+        with pytest.raises(ScenarioError, match="^" + re.escape(message)):
+            load_scenario(scenario)
+        assert main(simulate_args(model, scenario, str(tmp_path / "out"))) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, inputs):
         tmp_path, model, scenario = inputs
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -540,12 +560,18 @@ def _all_feature_inputs(tmp_path):
     return str(model_path), str(scenario_path)
 
 
-def _report_sha256(out_dir):
+def _tree_sha256(root):
+    """sha256 of every file's path below ``root`` and its bytes, in sorted
+    path order."""
     import hashlib
 
     digest = hashlib.sha256()
-    for name in sorted(os.listdir(out_dir)):
-        with open(os.path.join(out_dir, name), "rb") as fh:
+    names = sorted(
+        os.path.relpath(os.path.join(folder, name), root)
+        for folder, _, files in os.walk(root) for name in files
+    )
+    for name in names:
+        with open(os.path.join(root, name), "rb") as fh:
             digest.update(name.encode() + b"\0" + fh.read() + b"\0")
     return digest.hexdigest()
 
@@ -564,6 +590,59 @@ def test_simulate_reports_are_pinned(tmp_path):
             "--placement-latency", "1", "--power-transition-latency", "40",
         ]
         assert main(args) == 0
-        digests.append(_report_sha256(str(tmp_path / name)))
+        digests.append(_tree_sha256(str(tmp_path / name)))
     assert digests[0] == digests[1]
     assert digests[0] == PINNED_REPORT_SHA256
+
+
+#: sha256 of the scenarios, workload files and power models that
+#: ``test_extract_outputs_are_pinned`` writes. Only a change that declares a
+#: behaviour change may update it.
+PINNED_EXTRACT_SHA256 = "48376dc7ca0bb7934773e3a84937c04f1addef14d04e9d2bb62cb79480098d59"
+
+
+def test_extract_outputs_are_pinned(tmp_path, capsys):
+    """``dcsim extract``, with and without ``--exclude-autoscaler``, and
+    ``dcsim fit-power`` for both families on every server write the pinned
+    bytes. The seeded source run has migrations, autoscaler-initiated VMs, a
+    VM stopped before its first measurement and a VM that never started."""
+    model, scenario = _all_feature_inputs(tmp_path)
+    with open(scenario) as fh:
+        doc = json.load(fh)
+    doc["events"] += [
+        {"id": "blip", "trigger": {"type": "absolute", "time": 451.0},
+         "request": {"type": "start_application", "template": "batch", "vm_id": "blip"}},
+        {"id": "stop-blip", "trigger": {"type": "relative", "reference": "blip", "offset": 10.0},
+         "request": {"type": "stop_application", "target": "blip"}},
+    ]
+    with open(scenario, "w") as fh:
+        json.dump(doc, fh)
+    source = str(tmp_path / "source")
+    assert main([
+        "simulate", "--model", model, "--scenario", scenario, "--out", source,
+        "--end", "3600", "--seed", "11", "--placement", "worst-fit-ram",
+        "--optimizer", "consolidation", "--autoscaler", "react", "--power-manager",
+        "--spare-servers", "1", "--optimizer-interval", "200", "--boot-latency", "5",
+        "--placement-latency", "1", "--power-transition-latency", "40",
+    ]) == 0
+    capsys.readouterr()
+    measured = ["--metrics", os.path.join(source, "metrics.csv"),
+                "--events", os.path.join(source, "lifecycle.csv"), "--from", "0", "--to", "3600"]
+    out = tmp_path / "extracted"
+    out.mkdir()
+    for name, flags in (("all", []), ("tenant", ["--exclude-autoscaler"])):
+        assert main(["extract", *measured, "--model", model,
+                     "--out", str(out / f"{name}.json"), *flags]) == 0
+    printed = capsys.readouterr().out
+    assert "skipped blip: vm blip: no utilization measurements" in printed
+    assert "skipped whale: never started" in printed
+    for server in ("s1", "s2", "s3", "s4"):
+        for family in ("poly3", "poly-exp"):
+            assert main(["fit-power", *measured, "--server", server, "--family", family,
+                         "--out", str(out / f"{server}-{family}.json")]) == 0
+    with open(out / "all.json") as fh:
+        extracted = json.load(fh)
+    with open(out / "tenant.json") as fh:
+        tenant_only = json.load(fh)
+    assert len(extracted["templates"]) > len(tenant_only["templates"])
+    assert _tree_sha256(str(out)) == PINNED_EXTRACT_SHA256

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcsim.algorithms import AlgorithmConfig
 from dcsim.engine import SimConfig, run
@@ -23,6 +25,7 @@ from dcsim.model import (
     BlackBoxTrace,
     PowerModel,
     eval_power,
+    host_capacity,
 )
 from dcsim.state import LifecycleEntry, MetricSample
 from tests.conftest import make_model, make_server
@@ -510,3 +513,139 @@ def test_ingest_metrics_without_lifecycle(tmp_path):
     store = ingest_measurements(str(metrics), None)
     assert len(store.metrics) == 1
     assert store.lifecycle == []
+
+
+# --- the store's index against the linear scans it replaced ---------------------
+
+IDS = ("v0", "v1", "v2")
+KINDS = ("vm", "server")
+METRICS = ("vm_cpu_utilization", "cpu_utilization", "power_w")
+# Integers give ties; tenths and sevenths of 30 fall on or beside the float
+# window edges of the 0.1 and 30/7 resampling intervals.
+TIMES = st.one_of(
+    st.integers(0, 40).map(float),
+    st.integers(0, 400).map(lambda k: k / 10),
+    st.integers(0, 10).map(lambda k: k * 30 / 7),
+)
+
+
+@st.composite
+def time_ordered_stores(draw):
+    """Stores as ``ingest_measurements`` leaves them: both lists stably
+    sorted by time, each VM's lifecycle in a valid order. VMs may never
+    start, never end, or migrate several times (also to an unknown host).
+    Most of a VM's utilization samples fall after it starts."""
+    rows = draw(st.lists(st.tuples(
+        TIMES, st.sampled_from(KINDS), st.sampled_from(IDS), st.sampled_from(METRICS),
+        st.floats(-0.5, 1.5),
+    ), max_size=30))
+    entries = []
+    for vm in draw(st.lists(st.sampled_from(IDS), unique=True, min_size=1)):
+        events = ["submitted"]
+        if draw(st.sampled_from((False, True, True))):
+            events += ["started"] + ["migrated"] * draw(st.integers(0, 3))
+        if draw(st.booleans()):
+            events.append(draw(st.sampled_from(("terminated", "completed"))))
+        times = sorted(draw(st.lists(TIMES, min_size=len(events), max_size=len(events))))
+        for time, event in zip(times, events):
+            host = draw(st.sampled_from(("s1", "s2", "s9"))) if event in (
+                "started", "migrated") else ""
+            entries.append(lifecycle(time, vm, event, host=host))
+        anchor = times[1] if len(events) > 1 and events[1] == "started" else times[0]
+        rows += [
+            (anchor + offset, "vm", vm, "vm_cpu_utilization", value)
+            for offset, value in draw(st.lists(st.tuples(TIMES, st.floats(-0.5, 1.5)),
+                                               max_size=25))
+        ]
+    metrics = sorted((MetricSample(*row) for row in rows), key=lambda m: m.time)
+    entries.sort(key=lambda e: e.time)
+    return MeasurementStore(metrics=metrics, lifecycle=entries)
+
+
+def scan_entity_samples(store, kind, entity_id, metric):
+    return [
+        (m.time, m.value)
+        for m in store.metrics
+        if m.entity_kind == kind and m.entity_id == entity_id and m.metric == metric
+    ]
+
+
+def scan_first(store, vm_id, events):
+    for e in store.lifecycle:
+        if e.vm_id == vm_id and e.event in events:
+            return e
+    return None
+
+
+def scan_host_at(store, vm_id, t):
+    host = None
+    for e in store.lifecycle:
+        if e.vm_id != vm_id or e.time > t:
+            continue
+        if e.event in ("started", "migrated"):
+            host = e.host_id
+    return host
+
+
+def scan_extract(store, vm_id, resample_interval, servers):
+    """``extract_blackbox_workload`` as it was before the index: linear scans
+    and a filter over every demand for each window."""
+    samples = scan_entity_samples(store, "vm", vm_id, "vm_cpu_utilization")
+    if not samples:
+        raise NoBehaviorModel(f"vm {vm_id}: no utilization measurements")
+    started = scan_first(store, vm_id, ("started",))
+    if started is None:
+        raise NoBehaviorModel(f"vm {vm_id}: no started record to anchor the trace")
+    start_time = started.time
+    demands = []
+    for t, u in samples:
+        host = scan_host_at(store, vm_id, t)
+        if host is None or host not in servers:
+            raise NoBehaviorModel(f"vm {vm_id}: host unknown at t={t}")
+        demands.append((t, max(0.0, u) * host_capacity(servers[host])))
+    terminal = scan_first(store, vm_id, ("terminated", "completed"))
+    end_time = terminal.time if terminal is not None else demands[-1][0] + resample_interval
+    if end_time <= start_time:
+        raise NoBehaviorModel(f"vm {vm_id}: empty observation window")
+    segments = []
+    last_demand = 0.0
+    k = 0
+    while True:
+        lo = start_time + k * resample_interval
+        if lo >= end_time:
+            break
+        hi = min(lo + resample_interval, end_time)
+        in_window = [d for t, d in demands if lo <= t < hi]
+        if in_window:
+            last_demand = sum(in_window) / len(in_window)
+        segments.append((hi - lo, last_demand))
+        k += 1
+    return BlackBoxTrace(tuple(segments))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NoBehaviorModel as exc:
+        return ("NoBehaviorModel", str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(time_ordered_stores())
+def test_index_answers_like_the_linear_scans(store):
+    for kind in KINDS:
+        for entity_id in IDS:
+            for metric in METRICS:
+                assert store.entity_samples(kind, entity_id, metric) == scan_entity_samples(
+                    store, kind, entity_id, metric)
+    times = sorted({e.time for e in store.lifecycle})
+    probes = times + [(a + b) / 2 for a, b in zip(times, times[1:])]
+    probes += [times[0] - 1.0, times[-1] + 1.0] if times else [0.0]
+    for vm_id in IDS + ("absent",):
+        assert store.started(vm_id) is scan_first(store, vm_id, ("started",))
+        assert store.terminal(vm_id) is scan_first(store, vm_id, ("terminated", "completed"))
+        for t in probes:
+            assert store.host_at(vm_id, t) == scan_host_at(store, vm_id, t)
+        for interval in (0.1, 30 / 7, 30.0):
+            assert _outcome(extract_blackbox_workload, store, vm_id, interval, TWO_SPEED) == \
+                _outcome(scan_extract, store, vm_id, interval, TWO_SPEED)
