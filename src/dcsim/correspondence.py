@@ -176,7 +176,7 @@ def _host_view(
     for vm_id in server.vm_ids:
         vm = sim.vms[vm_id]
         if vm.host == server_id:
-            vms.append(VmView(vm_id, vm.flavor, server_id, vm.state, vm.current_demand(sim)))
+            vms.append(VmView(vm_id, vm.flavor, server_id, vm.state, vm.demand))
     return view, tuple(vms)
 
 

@@ -7,16 +7,28 @@ utilization/power series at the instant of change. Power series therefore
 stay piecewise-constant with a point at every change, which makes energy
 integration exact rather than sampled.
 
-A host's load is derived from its VMs only in ``refresh_host``; readers take
-utilization and power from the last points of its series. The engine
-refreshes every host at t=0, before anything reads them.
+A VM's demand and a host's load are derived only in ``refresh_host``: it
+sets ``VmRuntime.demand`` for each VM executing on the host (its current
+trace segment's demand, 0 past the last, or its tier's per-instance demand)
+and derives utilization and power from those demands. ``advance_host`` and
+the runtime view read ``demand`` (still 0.0 on a VM that has never
+executed); readers take utilization and power from the last points of the
+series. The engine refreshes every host at t=0, before anything reads them.
 
-Each host also keeps two derived values. ``ServerRuntime.free_ram`` is
+Each host also keeps three derived values. ``ServerRuntime.free_ram`` is
 re-derived with ``model.free_ram`` by ``_vm_ids_changed``, which every
 change of ``vm_ids`` calls: ``reserve``, ``start_migration`` (target),
-``finish_migration`` (source) and ``_release_vm``. ``ServerRuntime.view``
-caches the host's part of the runtime view (``sync_measurements`` fills it)
-and is cleared wherever the host or a VM it lists changes: by
+``finish_migration`` (source) and ``_release_vm``. ``ServerRuntime.running``
+lists the VMs executing on the host (``host`` is the server, state
+``RUNNING`` or ``MIGRATING``) in ``vm_ids`` order, which breaks ties between
+simultaneous boundaries. ``_derive_running`` re-derives it by filtering
+``vm_ids``, never by appending, since VMs may start in another order; it
+runs from ``_vm_ids_changed``, from ``finish_boot`` once the VM is
+``RUNNING`` and from ``finish_migration`` for the target once the VM has
+moved. ``advance_host`` and ``refresh_host`` walk only it.
+``ServerRuntime.view`` caches the host's part of the runtime view
+(``sync_measurements`` fills it) and is cleared wherever the host or a VM it
+lists changes: by
 ``_vm_ids_changed``, ``refresh_host``, ``start_migration`` (source) and the
 power actions of ``enact``. ``SimulationState.live_vms`` indexes the VMs not
 yet in a terminal state, in creation order.
@@ -145,6 +157,7 @@ class VmRuntime:
     # segment demands CPU, wall-clock seconds while it is idle (demand 0).
     seg_idx: int = 0
     seg_remaining: float = 0.0
+    demand: float = 0.0  # work-units/s asked while executing; set by refresh_host
     granted_rate: float = 0.0
     last_settle: float = 0.0
     move_epoch: int = 0  # invalidates pending boot/migration events
@@ -153,17 +166,6 @@ class VmRuntime:
     def __post_init__(self) -> None:
         self.trace = isinstance(self.workload, BlackBoxTrace)
 
-    def current_demand(self, sim: "SimulationState") -> float:
-        if self.state not in (VmState.RUNNING, VmState.MIGRATING):
-            return 0.0
-        if self.trace:
-            segments = self.workload.segments
-            if self.seg_idx >= len(segments):
-                return 0.0
-            return segments[self.seg_idx][1]
-        app = sim.apps.get(self.app_id or "")
-        return app.instance_demand if app is not None else 0.0
-
 
 @dataclass
 class ServerRuntime:
@@ -171,6 +173,7 @@ class ServerRuntime:
     power_state: str = POWER_ON
     pending_power: str | None = None
     vm_ids: list[str] = field(default_factory=list)  # every VM reserving RAM here
+    running: list[VmRuntime] = field(default_factory=list)  # executing here, in vm_ids order
     timer_epoch: int = 0  # invalidates the pending segment-boundary timer
     util_points: list[tuple[float, float]] = field(default_factory=list)
     power_points: list[tuple[float, float]] = field(default_factory=list)
@@ -260,15 +263,6 @@ class SimulationState:
 
     # -- instantaneous readings -------------------------------------------------
 
-    def active_vms(self, server_id: str) -> list[VmRuntime]:
-        """VMs currently executing on this server (migration sources included)."""
-        out = []
-        for vm_id in self.servers[server_id].vm_ids:
-            vm = self.vms[vm_id]
-            if vm.host == server_id and vm.state in (VmState.RUNNING, VmState.MIGRATING):
-                out.append(vm)
-        return out
-
     def server_utilization(self, server_id: str) -> float:
         """The utilization ``refresh_host`` last recorded for the server."""
         return self.servers[server_id].util_points[-1][1]
@@ -277,29 +271,49 @@ class SimulationState:
 
     def advance_host(self, server_id: str, now: float) -> None:
         """Settle in-progress segment work on a host up to ``now``."""
-        for vm in self.active_vms(server_id):
+        for vm in self.servers[server_id].running:
             dt = now - vm.last_settle
             if dt > 0 and vm.trace and vm.seg_idx < len(vm.workload.segments):
-                if vm.workload.segments[vm.seg_idx][1] > 0:
+                if vm.demand > 0:
                     vm.seg_remaining -= vm.granted_rate * dt
                 else:
                     vm.seg_remaining -= dt
             vm.last_settle = now
 
     def refresh_host(self, server_id: str, now: float) -> None:
-        """Recompute granted rates, re-arm the boundary timer, re-record series."""
+        """Re-derive demands and granted rates, re-arm the boundary timer,
+        re-record the series."""
         server = self.servers[server_id]
-        active = self.active_vms(server_id)
+        running = server.running
+        demands = []
+        for vm in running:
+            if not vm.trace:
+                vm.demand = self.apps[vm.app_id].instance_demand
+            elif vm.seg_idx < len(vm.workload.segments):
+                vm.demand = vm.workload.segments[vm.seg_idx][1]
+            else:
+                vm.demand = 0.0
+            demands.append(vm.demand)
         cap = host_capacity(server.spec)
-        demands = [vm.current_demand(self) for vm in active]
         rates = proportional_share_rates(demands, cap)
         server.timer_epoch += 1
         server.view = None
         first: VmRuntime | None = None
         first_at = math.inf
-        for vm, rate in zip(active, rates):
+        for vm, rate in zip(running, rates):
             vm.granted_rate = rate
-            at = self._boundary_time(vm, now)
+            # when the VM's current segment ends at its granted rate
+            if not vm.trace or vm.seg_idx >= len(vm.workload.segments):
+                continue
+            remaining = max(vm.seg_remaining, 0.0)
+            if vm.demand <= 0:
+                at = now + remaining
+            elif rate <= 0.0:
+                # a granted rate of zero only arises from degenerate (denormal)
+                # demands; such a VM is starved and never finishes the segment
+                continue
+            else:
+                at = now + remaining / rate
             if at < first_at:  # strict: a tie goes to the VM first in vm_ids order
                 first, first_at = vm, at
         if first is not None:
@@ -316,23 +330,6 @@ class SimulationState:
                 points[-1] = (now, value)
             elif not points or points[-1][1] != value:
                 points.append((now, value))
-
-    def _boundary_time(self, vm: VmRuntime, now: float) -> float:
-        """When the VM's current segment ends at its granted rate (inf: never)."""
-        if not vm.trace:
-            return math.inf
-        segments = vm.workload.segments
-        if vm.seg_idx >= len(segments):
-            return math.inf
-        demand = segments[vm.seg_idx][1]
-        remaining = max(vm.seg_remaining, 0.0)
-        if demand <= 0:
-            return now + remaining
-        # a granted rate of zero only arises from degenerate (denormal)
-        # demands; such a VM is starved and never finishes the segment
-        if vm.granted_rate <= 0.0:
-            return math.inf
-        return now + remaining / vm.granted_rate
 
     def init_segment(self, vm: VmRuntime) -> None:
         duration, demand = vm.workload.segments[vm.seg_idx]
@@ -427,6 +424,7 @@ class SimulationState:
         assert vm.host is not None
         self.advance_host(vm.host, self.now)
         vm.state = VmState.RUNNING
+        self._derive_running(vm.host)
         vm.last_settle = self.now
         vm.record.start_time = self.now
         self.record_lifecycle(vm, "started", host_id=vm.host)
@@ -481,6 +479,7 @@ class SimulationState:
         vm.host = target
         vm.migration_target = None
         vm.state = VmState.RUNNING
+        self._derive_running(target)
         vm.record.hosts.append((self.now, target))
         self.record_lifecycle(vm, "migrated", host_id=target)
         self.refresh_host(source, self.now)
@@ -530,7 +529,8 @@ class SimulationState:
             self.refresh_host(host, self.now)
 
     def _vm_ids_changed(self, server_id: str) -> None:
-        """Re-derive a host's free RAM after its ``vm_ids`` changed.
+        """Re-derive a host's free RAM and executing VMs after its ``vm_ids``
+        changed.
 
         Summing afresh, not adding or subtracting the one VM's RAM, keeps the
         value bit-for-bit what a sum over ``vm_ids`` gives.
@@ -538,3 +538,17 @@ class SimulationState:
         server = self.servers[server_id]
         server.free_ram = free_ram(server.spec, [self.vms[v] for v in server.vm_ids])
         server.view = None
+        self._derive_running(server_id)
+
+    def _derive_running(self, server_id: str) -> None:
+        """Re-derive a host's executing VMs by filtering its ``vm_ids``.
+
+        Filtering, not appending, keeps them in ``vm_ids`` order even when
+        VMs start in another order: the order breaks boundary ties.
+        """
+        server = self.servers[server_id]
+        server.running = [
+            vm
+            for vm in (self.vms[v] for v in server.vm_ids)
+            if vm.host == server_id and vm.state in (VmState.RUNNING, VmState.MIGRATING)
+        ]

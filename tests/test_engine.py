@@ -258,6 +258,38 @@ class TestHostTimer:
             "vm-b", "vm-a"
         ]
 
+    def test_vm_order_holds_when_boot_order_differs(self):
+        # "late" is placed on s2 first but boots after "mover" migrates in,
+        # so starting order is mover, late while vm_ids order is late, mover
+        from dcsim.correspondence import Migrate, enact
+        from tests.conftest import make_harness, pump
+
+        mover = initial_trace_vm("mover", [(100.0, 1.0), (50.0, 1.0)])
+        scenario = ExperimentScenario(
+            events=[TimelineEvent("e", AbsoluteTime(0.0), StartApplication("t", "late"))],
+            templates={"t": trace_template([(60.0, 1.0), (50.0, 1.0)], vcpus=1,
+                                           ram=1024.0)},
+        )
+        harness = make_harness(
+            make_model(2, initial_vms=[mover]), scenario=scenario,
+            placement="worst-fit-ram",
+            config=SimConfig(end_time=1e9, placement_decision_latency=40.0),
+        )
+        harness._schedule_initial_events()
+        sim = harness.sim
+        pump(harness, 10.0)
+        assert sim.vms["late"].state is VmState.BOOTING
+        enact(Migrate("mover", "s1", "s2"), sim)
+        pump(harness, 20.0)
+        assert [vm.id for vm in sim.servers["s2"].running] == ["mover"]
+        pump(harness, 40.0)
+        assert sim.servers["s2"].vm_ids == ["late", "mover"]
+        assert [vm.id for vm in sim.servers["s2"].running] == ["late", "mover"]
+        pump(harness, 200.0)
+        # both reach t=100 and t=150 together; each tie goes to vm_ids order
+        done = [(a.time, a.subject) for a in sim.action_log if a.action == "complete"]
+        assert done == [(150.0, "late"), (150.0, "mover")]
+
 
 def _all_feature_engine() -> _Engine:
     """Trace VMs overloading s1, a request tier under React, consolidation,
@@ -319,6 +351,27 @@ def _after_every_event(engine: _Engine, check) -> dict[str, int]:
     return popped
 
 
+def _executing(sim, server_id):
+    """The VMs executing on a host, filtered from its ``vm_ids``."""
+    vms = (sim.vms[vm_id] for vm_id in sim.servers[server_id].vm_ids)
+    return [
+        vm for vm in vms
+        if vm.host == server_id and vm.state in (VmState.RUNNING, VmState.MIGRATING)
+    ]
+
+
+def _demand(sim, vm):
+    """What a VM asks of its host now: its current trace segment's demand
+    (0 past the last), its tier's per-instance demand, or 0 unless it is
+    executing."""
+    if vm.state not in (VmState.RUNNING, VmState.MIGRATING):
+        return 0.0
+    if isinstance(vm.workload, BlackBoxTrace):
+        segments = vm.workload.segments
+        return segments[vm.seg_idx][1] if vm.seg_idx < len(segments) else 0.0
+    return sim.apps[vm.app_id].instance_demand
+
+
 def test_host_load_matches_recomputation_after_every_event():
     """A host's utilization and power are derived once, in ``refresh_host``;
     after every event they must equal a fresh sum over the host's VMs."""
@@ -332,7 +385,7 @@ def test_host_load_matches_recomputation_after_every_event():
         for server_id, server in sim.servers.items():
             if server.power_state == POWER_ON:
                 cap = host_capacity(server.spec)
-                demand = sum(vm.current_demand(sim) for vm in sim.active_vms(server_id))
+                demand = sum(_demand(sim, vm) for vm in _executing(sim, server_id))
                 util = min(demand, cap) / cap
                 pm = sim.model.power_models[server.spec.power_model_id]
                 watts = eval_power(pm, util)
@@ -352,9 +405,10 @@ def test_host_load_matches_recomputation_after_every_event():
 
 
 def test_kept_view_free_ram_and_live_index_match_a_rebuild_after_every_event():
-    """Each host's cached runtime view, its kept free RAM and the live-VM
-    index must equal a from-scratch build from ``servers``, ``vm_ids`` and
-    ``vms`` after every event."""
+    """Each host's cached runtime view, its kept free RAM and executing VMs,
+    each executing VM's kept demand, and the live-VM index must equal a
+    from-scratch build from ``servers``, ``vm_ids`` and ``vms`` after every
+    event."""
     from dcsim.correspondence import ServerView, VmView, sync_measurements
     from dcsim.model import POWER_OFF, POWER_ON, TERMINAL_STATES
 
@@ -366,13 +420,18 @@ def test_kept_view_free_ram_and_live_index_match_a_rebuild_after_every_event():
         for server_id, server in sim.servers.items():
             used = sum(sim.vms[vm_id].flavor.ram for vm_id in server.vm_ids)
             assert server.free_ram == server.spec.ram_capacity - used, (kind, server_id)
+            executing = _executing(sim, server_id)
+            assert [vm.id for vm in server.running] == [vm.id for vm in executing], (
+                kind, server_id)
+            for vm in executing:
+                assert vm.demand == _demand(sim, vm), (kind, vm.id)
             servers.append(ServerView(
                 server_id, server.spec.cores, server.spec.core_speed,
                 server.spec.ram_capacity, POWER_ON if server.usable() else POWER_OFF,
                 sim.server_utilization(server_id), server.spec.ram_capacity - used,
             ))
             vms += [
-                VmView(vm.id, vm.flavor, server_id, vm.state, vm.current_demand(sim))
+                VmView(vm.id, vm.flavor, server_id, vm.state, _demand(sim, vm))
                 for vm in (sim.vms[vm_id] for vm_id in server.vm_ids)
                 if vm.host == server_id
             ]
