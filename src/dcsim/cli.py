@@ -43,6 +43,7 @@ from .model import (
     load_model,
     power_model_to_dict,
     workload_to_dict,
+    write_json,
 )
 from .scenario import ScenarioError, load_scenario, scenario_to_dict
 
@@ -162,13 +163,13 @@ def cmd_extract(args) -> int:
     for template_id, template in result.scenario.templates.items():
         filename = f"{template_id}.json"
         with open(os.path.join(workload_dir, filename), "w", encoding="utf-8") as fh:
-            json.dump(workload_to_dict(template.workload), fh, indent=2, sort_keys=True)
+            write_json(workload_to_dict(template.workload), fh.write)
             fh.write("\n")
         doc["templates"][template_id]["workload"] = {
             "file": f"{workload_dir_name}/{filename}"
         }
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        write_json(doc, fh.write)
         fh.write("\n")
 
     print(f"extracted {len(result.extracted_vm_ids)} VMs, skipped {len(result.skipped)}")
@@ -186,7 +187,7 @@ def cmd_fit_power(args) -> int:
     fit = fit_power_model(pairs, family, degree)
     doc = power_model_to_dict(fit.model)
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        write_json(doc, fh.write)
         fh.write("\n")
     print(
         f"fitted {args.family} on {fit.samples} cleaned pairs: "
@@ -314,7 +315,7 @@ def cmd_compare(args) -> int:
         )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
+            write_json(result.to_dict(), fh.write)
             fh.write("\n")
     return 0
 

@@ -3,15 +3,24 @@
 The monitoring-trace files (metrics.csv, lifecycle.csv) use the same schema
 the extraction pipeline ingests, so a simulation run can be fed straight
 back into model reconstruction.
+
+Byte contract: every CSV is what ``csv.writer`` writes in the excel dialect
+(minimal quoting: a field holding ``,``, ``"``, ``\\r`` or ``\\n`` is wrapped
+in ``"`` with inner ``"`` doubled; ``\\r\\n`` line ends; floats as ``repr``),
+and ``report.json`` is ``json.dumps(report.to_dict(), sort_keys=True)`` at
+a two-space indent, plus ``\\n``. Each file is formatted as text and streamed
+in chunks of ``_CHUNK_ROWS`` rows (JSON: see ``model.write_json``), so no
+file is ever held in memory whole.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import os
+import re
+from itertools import islice
 
 from .engine import SimulationReport
+from .model import write_json
 
 UTILIZATION_CSV = "utilization.csv"
 POWER_CSV = "power.csv"
@@ -21,6 +30,30 @@ METRICS_CSV = "metrics.csv"
 LIFECYCLE_CSV = "lifecycle.csv"
 AUTOSCALER_CSV = "autoscaler.csv"
 REPORT_JSON = "report.json"
+
+#: CSV rows joined into one write.
+_CHUNK_ROWS = 1024
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+class _CsvField(dict):
+    """Each distinct string as the excel dialect writes it as a field,
+    quoted only if it must be; the quoting rule runs once per string."""
+
+    def __missing__(self, text: str) -> str:
+        field = '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
+        self[text] = field
+        return field
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write ``header`` and then the ``\\r\\n``-terminated ``rows``, joined
+    ``_CHUNK_ROWS`` at a time."""
+    rows = iter(rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(header + "\r\n")
+        while chunk := "".join(islice(rows, _CHUNK_ROWS)):
+            fh.write(chunk)
 
 
 def write_report(report: SimulationReport, out_dir: str) -> list[str]:
@@ -33,60 +66,43 @@ def write_report(report: SimulationReport, out_dir: str) -> list[str]:
         written.append(p)
         return p
 
-    with open(path(UTILIZATION_CSV), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "server_id", "utilization"])
-        for server_id, points in report.utilization.items():
-            for t, value in points:
-                writer.writerow([t, server_id, value])
-
-    with open(path(POWER_CSV), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "server_id", "power_w"])
-        for server_id, points in report.power.items():
-            for t, value in points:
-                writer.writerow([t, server_id, value])
-
-    with open(path(SUMMARY_CSV), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["server_id", "energy_wh"])
-        for server_id, energy in report.energy_wh.items():
-            writer.writerow([server_id, energy])
-        writer.writerow(["TOTAL", report.total_energy_wh])
-
-    with open(path(ACTIONS_CSV), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "action", "subject", "outcome"])
-        for entry in report.actions:
-            writer.writerow([entry.time, entry.action, entry.subject, entry.outcome])
-
-    with open(path(METRICS_CSV), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp_s", "entity_kind", "entity_id", "metric", "value"])
-        for m in report.metrics:
-            writer.writerow([m.time, m.entity_kind, m.entity_id, m.metric, m.value])
-
-    with open(path(LIFECYCLE_CSV), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "timestamp_s", "vm_id", "event", "host_id",
-            "flavor_vcpus", "flavor_ram_mib", "initiator",
-        ])
-        for entry in report.lifecycle:
-            writer.writerow([
-                entry.time, entry.vm_id, entry.event, entry.host_id or "",
-                entry.vcpus, entry.ram, entry.initiator,
-            ])
-
+    q = _CsvField({None: ""})  # a VM without a host has an empty host_id
+    _write_csv(path(UTILIZATION_CSV), "time_s,server_id,utilization", (
+        f"{t!r},{q[server_id]},{value!r}\r\n"
+        for server_id, points in report.utilization.items() for t, value in points
+    ))
+    _write_csv(path(POWER_CSV), "time_s,server_id,power_w", (
+        f"{t!r},{q[server_id]},{value!r}\r\n"
+        for server_id, points in report.power.items() for t, value in points
+    ))
+    _write_csv(path(SUMMARY_CSV), "server_id,energy_wh", [
+        *(f"{q[server_id]},{energy!r}\r\n" for server_id, energy in report.energy_wh.items()),
+        f"TOTAL,{report.total_energy_wh!r}\r\n",
+    ])
+    _write_csv(path(ACTIONS_CSV), "time_s,action,subject,outcome", (
+        f"{a.time!r},{q[a.action]},{q[a.subject]},{q[a.outcome]}\r\n" for a in report.actions
+    ))
+    _write_csv(path(METRICS_CSV), "timestamp_s,entity_kind,entity_id,metric,value", (
+        f"{m.time!r},{q[m.entity_kind]},{q[m.entity_id]},{q[m.metric]},{m.value!r}\r\n"
+        for m in report.metrics
+    ))
+    _write_csv(
+        path(LIFECYCLE_CSV),
+        "timestamp_s,vm_id,event,host_id,flavor_vcpus,flavor_ram_mib,initiator",
+        (
+            f"{e.time!r},{q[e.vm_id]},{q[e.event]},{q[e.host_id]},"
+            f"{e.vcpus!r},{e.ram!r},{q[e.initiator]}\r\n"
+            for e in report.lifecycle
+        ),
+    )
     if report.autoscaler_series:
-        with open(path(AUTOSCALER_CSV), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_s", "application_id", "instances", "rate"])
-            for t, app_id, instances, rate in report.autoscaler_series:
-                writer.writerow([t, app_id, instances, rate])
+        _write_csv(path(AUTOSCALER_CSV), "time_s,application_id,instances,rate", (
+            f"{t!r},{q[app_id]},{instances!r},{rate!r}\r\n"
+            for t, app_id, instances, rate in report.autoscaler_series
+        ))
 
     with open(path(REPORT_JSON), "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        write_json(report.to_dict(), fh.write)
         fh.write("\n")
 
     return written

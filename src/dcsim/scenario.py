@@ -18,6 +18,7 @@ from .model import (
     WorkloadModel,
     flavor_from_dict,
     flavor_to_dict,
+    json_text,
     workload_from_dict,
     workload_to_dict,
 )
@@ -313,7 +314,7 @@ def scenario_from_dict(
 
 def serialize_scenario(scenario: ExperimentScenario) -> str:
     """Scenario to a JSON document; inverse of parse_scenario."""
-    return json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True)
+    return json_text(scenario_to_dict(scenario))
 
 
 def parse_scenario(text: str, known_vm_ids: Iterable[str] = ()) -> ExperimentScenario:
