@@ -25,6 +25,7 @@ from .model import (
     POLYNOMIAL_PLUS_EXPONENTIAL,
     BlackBoxTrace,
     DataCenterModel,
+    Initiator,
     PowerModel,
     ServerSpec,
     VmFlavor,
@@ -147,11 +148,34 @@ def _check_lifecycle_order(store: MeasurementStore) -> None:
                 ended = True
 
 
-def _finite(row: Mapping[str, str], column: str) -> float:
-    value = float(row[column])
+METRIC_COLUMNS = ["timestamp_s", "entity_kind", "entity_id", "metric", "value"]
+LIFECYCLE_COLUMNS = [
+    "timestamp_s", "vm_id", "event", "host_id",
+    "flavor_vcpus", "flavor_ram_mib", "initiator",
+]
+INITIATORS = tuple(initiator.value for initiator in Initiator)
+
+
+def _csv_rows(fh, path: str, columns: list[str]):
+    """A ``csv.reader`` over ``fh`` positioned past its header row, which
+    must be exactly ``columns``."""
+    reader = csv.reader(fh)
+    if next(reader, None) != columns:
+        raise IngestError(f"{path}: header must be {','.join(columns)}")
+    return reader
+
+
+def _finite(column: str, text: str) -> float:
+    value = float(text)
     if not math.isfinite(value):
-        raise ValueError(f"{column} must be finite, got {row[column]!r}")
+        raise ValueError(f"{column} must be finite, got {text!r}")
     return value
+
+
+def _row_error(path: str, reader, row: list[str], width: int, exc: ValueError) -> IngestError:
+    """The error for a bad row, at the physical line the reader reached."""
+    why = exc if len(row) == width else f"expected {width} fields, got {len(row)}"
+    return IngestError(f"{path} line {reader.line_num}: {why}")
 
 
 def ingest_measurements(
@@ -159,60 +183,47 @@ def ingest_measurements(
 ) -> MeasurementStore:
     """Read monitoring CSVs into a store, validating row syntax and per-VM
     lifecycle ordering; errors carry the offending file line or VM. Power
-    model training needs no lifecycle, so that file may be omitted."""
+    model training needs no lifecycle, so that file may be omitted. Every
+    row must have exactly the header's fields; empty lines are skipped."""
     metrics = []
+    append = metrics.append
     with open(metric_file, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["timestamp_s", "entity_kind", "entity_id", "metric", "value"]
-        if reader.fieldnames != expected:
-            raise IngestError(f"{metric_file}: header must be {','.join(expected)}")
-        for line, row in enumerate(reader, start=2):
+        reader = _csv_rows(fh, metric_file, METRIC_COLUMNS)
+        for row in reader:
             try:
-                metrics.append(
-                    MetricSample(
-                        time=_finite(row, "timestamp_s"),
-                        entity_kind=row["entity_kind"],
-                        entity_id=row["entity_id"],
-                        metric=row["metric"],
-                        value=_finite(row, "value"),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise IngestError(f"{metric_file} line {line}: {exc}") from exc
+                t, kind, entity_id, metric, v = row
+                time, value = float(t), float(v)
+                if not (math.isfinite(time) and math.isfinite(value)):
+                    _finite("timestamp_s", t)  # raises, naming the column
+                    _finite("value", v)
+            except ValueError as exc:
+                if not row:
+                    continue
+                raise _row_error(metric_file, reader, row, len(METRIC_COLUMNS), exc) from exc
+            append(MetricSample(time, kind, entity_id, metric, value))
 
     lifecycle = []
     if lifecycle_file is None:
         metrics.sort(key=_by_time)
         return MeasurementStore(metrics=metrics, lifecycle=[])
+    append = lifecycle.append
     with open(lifecycle_file, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = [
-            "timestamp_s", "vm_id", "event", "host_id",
-            "flavor_vcpus", "flavor_ram_mib", "initiator",
-        ]
-        if reader.fieldnames != expected:
-            raise IngestError(f"{lifecycle_file}: header must be {','.join(expected)}")
-        for line, row in enumerate(reader, start=2):
+        reader = _csv_rows(fh, lifecycle_file, LIFECYCLE_COLUMNS)
+        for row in reader:
             try:
-                event = row["event"]
+                t, vm_id, event, host_id, vcpus, ram, initiator = row
                 if event not in LIFECYCLE_EVENTS:
                     raise ValueError(f"unknown lifecycle event {event!r}")
-                initiator = row["initiator"]
-                if initiator not in ("tenant", "autoscaler"):
+                if initiator not in INITIATORS:
                     raise ValueError(f"unknown initiator {initiator!r}")
-                lifecycle.append(
-                    LifecycleEntry(
-                        time=_finite(row, "timestamp_s"),
-                        vm_id=row["vm_id"],
-                        event=event,
-                        host_id=row["host_id"] or None,
-                        vcpus=int(row["flavor_vcpus"]),
-                        ram=_finite(row, "flavor_ram_mib"),
-                        initiator=initiator,
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise IngestError(f"{lifecycle_file} line {line}: {exc}") from exc
+                append(LifecycleEntry(
+                    _finite("timestamp_s", t), vm_id, event, host_id or None,
+                    int(vcpus), _finite("flavor_ram_mib", ram), initiator,
+                ))
+            except ValueError as exc:
+                if not row:
+                    continue
+                raise _row_error(lifecycle_file, reader, row, len(LIFECYCLE_COLUMNS), exc) from exc
 
     metrics.sort(key=_by_time)
     lifecycle.sort(key=_by_time)
@@ -464,12 +475,14 @@ def _cubic_columns(u: np.ndarray) -> np.ndarray:
 def _exp_residual_jacobian(
     theta: np.ndarray, u: np.ndarray, cubic: np.ndarray, p: np.ndarray
 ):
-    c0, c1, c2, c3, a, b = theta
-    with np.errstate(over="ignore"):
-        eb = np.exp(np.clip(b * u, -700.0, 700.0))
-    prediction = c0 * u + c1 * cubic[:, 1] + c2 * cubic[:, 2] + c3 + a * (eb - 1.0)
+    c0, c1, c2, c3, a, b = theta.tolist()
+    eb = np.exp(np.minimum(np.maximum(b * u, -700.0), 700.0))  # cannot overflow
+    jac = np.empty((len(u), 6))
+    jac[:, :4] = cubic
+    jac[:, 4] = eb - 1.0
+    jac[:, 5] = a * u * eb
+    prediction = c0 * u + c1 * cubic[:, 1] + c2 * cubic[:, 2] + c3 + a * jac[:, 4]
     residual = prediction - p
-    jac = np.column_stack([cubic, eb - 1.0, a * u * eb])
     return residual, jac
 
 
@@ -477,9 +490,9 @@ def _linear_fit_given_slope(
     u: np.ndarray, cubic: np.ndarray, p: np.ndarray, b: float
 ) -> tuple[np.ndarray, float]:
     """Exact least squares for the five linear coefficients at a fixed b."""
-    with np.errstate(over="ignore"):
-        column = np.exp(np.clip(b * u, -700.0, 700.0)) - 1.0
-    design = np.column_stack([cubic, column])
+    design = np.empty((len(u), 5))
+    design[:, :4] = cubic
+    design[:, 4] = np.exp(np.minimum(np.maximum(b * u, -700.0), 700.0)) - 1.0
     coeffs, _, _, _ = np.linalg.lstsq(design, p, rcond=None)
     residual = design @ coeffs - p
     return coeffs, float(residual @ residual)
@@ -540,19 +553,19 @@ def _fit_exponential(
         iterations += 1
         gradient = jac.T @ residual
         hessian = jac.T @ jac
+        scale = np.maximum(hessian.diagonal(), 1e-12)
         improvement = 0.0
         stepped = False
         for _ in range(50):
-            damping = lam * np.diag(np.maximum(np.diag(hessian), 1e-12))
             try:
-                delta = np.linalg.solve(hessian + damping, -gradient)
+                delta = np.linalg.solve(hessian + np.diag(lam * scale), -gradient)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             candidate = theta + delta
             cand_residual, cand_jac = _exp_residual_jacobian(candidate, u, cubic, p)
             cand_rss = float(cand_residual @ cand_residual)
-            if np.isfinite(cand_rss) and cand_rss <= rss:
+            if math.isfinite(cand_rss) and cand_rss <= rss:
                 improvement = rss - cand_rss
                 theta, rss = candidate, cand_rss
                 residual, jac = cand_residual, cand_jac

@@ -80,19 +80,19 @@ def write_report(report: SimulationReport, out_dir: str) -> list[str]:
         f"TOTAL,{report.total_energy_wh!r}\r\n",
     ])
     _write_csv(path(ACTIONS_CSV), "time_s,action,subject,outcome", (
-        f"{a.time!r},{q[a.action]},{q[a.subject]},{q[a.outcome]}\r\n" for a in report.actions
+        f"{t!r},{q[action]},{q[subject]},{q[outcome]}\r\n"
+        for t, action, subject, outcome in report.actions
     ))
     _write_csv(path(METRICS_CSV), "timestamp_s,entity_kind,entity_id,metric,value", (
-        f"{m.time!r},{q[m.entity_kind]},{q[m.entity_id]},{q[m.metric]},{m.value!r}\r\n"
-        for m in report.metrics
+        f"{t!r},{q[kind]},{q[entity_id]},{q[metric]},{value!r}\r\n"
+        for t, kind, entity_id, metric, value in report.metrics
     ))
     _write_csv(
         path(LIFECYCLE_CSV),
         "timestamp_s,vm_id,event,host_id,flavor_vcpus,flavor_ram_mib,initiator",
         (
-            f"{e.time!r},{q[e.vm_id]},{q[e.event]},{q[e.host_id]},"
-            f"{e.vcpus!r},{e.ram!r},{q[e.initiator]}\r\n"
-            for e in report.lifecycle
+            f"{t!r},{q[vm_id]},{q[event]},{q[host_id]},{vcpus!r},{ram!r},{q[initiator]}\r\n"
+            for t, vm_id, event, host_id, vcpus, ram, initiator in report.lifecycle
         ),
     )
     if report.autoscaler_series:

@@ -39,6 +39,10 @@ processor sharing a host's next change is its earliest segment boundary, so
 each host keeps one boundary timer. ``refresh_host`` re-arms it for the
 earliest trace VM and bumps ``ServerRuntime.timer_epoch``, which makes the
 timer it replaces stale.
+
+The log records (``MetricSample``, ``LifecycleEntry``, ``ActionEntry``) are
+immutable named tuples: a run builds one per measurement, and ingest one
+per CSV row, so each is as cheap to build as a tuple.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .model import (
     POWER_OFF,
@@ -101,8 +105,7 @@ POWER_TRANSITION_FINISHED = "power_transition_finished"
 RATE_UPDATE = "rate_update"
 
 
-@dataclass(frozen=True)
-class MetricSample:
+class MetricSample(NamedTuple):
     time: float
     entity_kind: str  # "server" | "vm"
     entity_id: str
@@ -110,8 +113,7 @@ class MetricSample:
     value: float
 
 
-@dataclass(frozen=True)
-class LifecycleEntry:
+class LifecycleEntry(NamedTuple):
     time: float
     vm_id: str
     event: str  # submitted | started | migrated | terminated | completed
@@ -121,8 +123,7 @@ class LifecycleEntry:
     initiator: str
 
 
-@dataclass(frozen=True)
-class ActionEntry:
+class ActionEntry(NamedTuple):
     time: float
     action: str
     subject: str

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dcsim.report as report_mod
 from dcsim.algorithms import AlgorithmConfig
+from dcsim.cli import main
 from dcsim.engine import SimConfig, run
 from dcsim.extraction import (
     FitResult,
@@ -27,8 +29,9 @@ from dcsim.model import (
     eval_power,
     host_capacity,
 )
-from dcsim.state import LifecycleEntry, MetricSample
+from dcsim.state import ActionEntry, LifecycleEntry, MetricSample
 from tests.conftest import make_model, make_server
+from tests.test_cli import _all_feature_inputs
 from tests.test_engine import scenario_of_traces
 
 METRIC_HEADER = "timestamp_s,entity_kind,entity_id,metric,value\n"
@@ -122,6 +125,37 @@ class TestIngest:
         events.write_text(LIFECYCLE_HEADER + lifecycle_row)
         with pytest.raises(IngestError, match=where):
             ingest_measurements(str(metrics), str(events))
+
+    @pytest.mark.parametrize("metric_rows, lifecycle_rows, where", [
+        ("0,vm,v1,vm_cpu_utilization\n", "", "m.csv line 2: expected 5 fields, got 4"),
+        ("0,vm,v1,vm_cpu_utilization,0.5,EXTRA\n", "",
+         "m.csv line 2: expected 5 fields, got 6"),
+        ("", "0,v,submitted,,1,1024\n", "e.csv line 2: expected 7 fields, got 6"),
+        ("", "0,v,submitted,,1,1024,tenant,EXTRA\n", "e.csv line 2: expected 7 fields, got 8"),
+        ("0,vm,v1,vm_cpu_utilization,0.5\n\n\n0,vm,v1,vm_cpu_utilization,x\n", "",
+         "m.csv line 5: could not convert"),
+        ("", "0,v,submitted,,1,1024,tenant\n\n\n1,v,started,s1,one,1024,tenant\n",
+         "e.csv line 5: invalid literal"),
+    ], ids=["metric-short", "metric-long", "lifecycle-short", "lifecycle-long",
+            "metric-after-blank-lines", "lifecycle-after-blank-lines"])
+    def test_bad_row_names_file_and_physical_line(
+        self, tmp_path, metric_rows, lifecycle_rows, where
+    ):
+        metrics = tmp_path / "m.csv"
+        metrics.write_text(METRIC_HEADER + metric_rows)
+        events = tmp_path / "e.csv"
+        events.write_text(LIFECYCLE_HEADER + lifecycle_rows)
+        with pytest.raises(IngestError, match=where):
+            ingest_measurements(str(metrics), str(events))
+
+    def test_empty_lines_are_skipped(self, tmp_path):
+        metrics = tmp_path / "m.csv"
+        metrics.write_text(METRIC_HEADER + "\n0,server,s1,power_w,105\n\n")
+        events = tmp_path / "e.csv"
+        events.write_text(LIFECYCLE_HEADER + "\n\n0,v,submitted,,1,1024,tenant\n")
+        store = ingest_measurements(str(metrics), str(events))
+        assert store.metrics == [MetricSample(0.0, "server", "s1", "power_w", 105.0)]
+        assert store.lifecycle == [lifecycle(0.0, "v", "submitted")]
 
 
 ONE_SERVER = {"s1": make_server("s1")}  # capacity 10
@@ -513,6 +547,45 @@ def test_ingest_metrics_without_lifecycle(tmp_path):
     store = ingest_measurements(str(metrics), None)
     assert len(store.metrics) == 1
     assert store.lifecycle == []
+
+
+def test_exported_records_read_back_equal_to_the_run(tmp_path, monkeypatch):
+    """On the all-feature run, the records ``write_report`` exports and
+    ``ingest_measurements`` reads back equal the report's own, in order."""
+    model, scenario = _all_feature_inputs(tmp_path)
+    reports = []
+    write_report = report_mod.write_report
+
+    def keep(report, out_dir):
+        reports.append(report)
+        return write_report(report, out_dir)
+
+    monkeypatch.setattr(report_mod, "write_report", keep)
+    out = tmp_path / "out"
+    assert main([
+        "simulate", "--model", model, "--scenario", scenario, "--out", str(out),
+        "--end", "3600", "--seed", "11", "--placement", "worst-fit-ram",
+        "--optimizer", "consolidation", "--autoscaler", "react", "--power-manager",
+        "--spare-servers", "1", "--optimizer-interval", "200", "--boot-latency", "5",
+        "--placement-latency", "1", "--power-transition-latency", "40",
+    ]) == 0
+    (report,) = reports
+    store = ingest_measurements(str(out / "metrics.csv"), str(out / "lifecycle.csv"))
+    assert store.metrics == report.metrics
+    assert store.lifecycle == report.lifecycle
+    assert {e.host_id for e in report.lifecycle} >= {None, "s1"}
+    assert {e.initiator for e in report.lifecycle} == {"tenant", "autoscaler"}
+
+
+@pytest.mark.parametrize("record", [
+    MetricSample(0.0, "vm", "v1", "vm_cpu_utilization", 0.5),
+    LifecycleEntry(0.0, "v1", "started", "s1", 1, 1024.0, "tenant"),
+    ActionEntry(0.0, "place", "v1->s1", "enacted"),
+], ids=lambda record: type(record).__name__)
+def test_records_are_immutable(record):
+    for name in type(record)._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
 
 
 # --- the store's index against the linear scans it replaced ---------------------

@@ -5,8 +5,10 @@ replays scripted migration schedules through a dumb fixed-step integrator
 that knows nothing about events and compares completion times.
 """
 
+import heapq
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcsim.correspondence import Migrate, Place, Rejected, enact
@@ -51,19 +53,26 @@ def _brute_force(traces, moves, horizon=2000.0, dt=0.002):
             "remaining": duration * demand if demand > 0 else duration,
             "host": "s1", "done": None,
         })
-    cutovers = {}  # vm index -> cutover time while a copy is in flight
-    move_queue = sorted(moves, key=lambda m: m[1])
+    # Moves and cutovers due by a step run in order of their exact times, a
+    # cutover before a move at the same instant (as the engine pumps its
+    # events up to a move's time before enacting it). A move of a VM whose
+    # copy is still in flight is dropped.
+    MOVE, CUTOVER = 1, 0
+    agenda = [(at, MOVE, index) for index, at in moves]
+    heapq.heapify(agenda)
+    copying = set()
     t = 0.0
     while t < horizon and any(vm["done"] is None for vm in state):
-        while move_queue and move_queue[0][1] <= t:
-            index, _ = move_queue.pop(0)
-            if state[index]["done"] is None and index not in cutovers:
-                cutovers[index] = t + COPY_TIME
-        for index in list(cutovers):
-            if cutovers[index] <= t:
-                del cutovers[index]
-                if state[index]["done"] is None:
-                    vm = state[index]
+        while agenda and agenda[0][0] <= t:
+            at, kind, index = heapq.heappop(agenda)
+            vm = state[index]
+            if kind == MOVE:
+                if vm["done"] is None and index not in copying:
+                    copying.add(index)
+                    heapq.heappush(agenda, (at + COPY_TIME, CUTOVER, index))
+            else:
+                copying.discard(index)
+                if vm["done"] is None:
                     vm["host"] = "s2" if vm["host"] == "s1" else "s1"
         for host in ("s1", "s2"):
             active = [vm for vm in state if vm["done"] is None and vm["host"] == host]
@@ -108,6 +117,9 @@ def migration_cases(draw):
 
 @settings(max_examples=12, deadline=None)
 @given(migration_cases())
+# The second move lands exactly when the first copy ends: the cutover comes
+# first, then the VM moves back.
+@example(([[(10.0, 5.0)], [(10.0, 6.0)]], [(0, 2.0), (0, 3.0)]))
 def test_migrated_completions_match_brute_force(case):
     traces, moves = case
     engine_done = _run_engine(traces, moves)
