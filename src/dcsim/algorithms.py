@@ -50,8 +50,8 @@ class RegConfig:
     lower_threshold: float = 0.5
 
     def __post_init__(self):
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
+        if not isinstance(self.window, int) or self.window < 2:
+            raise ValueError(f"window must be an integer >= 2, got {self.window!r}")
         if not 0 < self.upper_threshold <= 1:
             raise ValueError("upper_threshold must be in (0, 1]")
         if not 0 < self.lower_threshold <= 1:
@@ -78,8 +78,12 @@ class AlgorithmConfig:
             raise ValueError(f"unknown optimizer algorithm {self.optimizer!r}")
         if self.autoscaler not in (None,) + AUTOSCALER_ALGORITHMS:
             raise ValueError(f"unknown autoscaler algorithm {self.autoscaler!r}")
-        if self.spare_servers < 0:
-            raise ValueError("spare_servers must be >= 0")
+        if not isinstance(self.power_manager_enabled, bool):
+            raise ValueError(
+                f"power_manager_enabled must be true or false, got {self.power_manager_enabled!r}"
+            )
+        if not isinstance(self.spare_servers, int) or self.spare_servers < 0:
+            raise ValueError(f"spare_servers must be an integer >= 0, got {self.spare_servers!r}")
         if not math.isfinite(self.imbalance_threshold):
             raise ValueError("imbalance_threshold must be finite")
 

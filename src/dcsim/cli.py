@@ -1,22 +1,22 @@
 """Command-line front end.
 
-Subcommands: simulate, extract, fit-power, compare, gen-workload,
-report-error. Exit codes are stable for scripting: 0 success, 2 input or
-validation error, 1 internal error. All randomness flows from --seed; no
-run reads the clock or the environment for entropy. Set DCSIM_LOG to a
-logging level name for diagnostics.
+Subcommands: simulate, extract, fit-power, compare, report-error. Exit
+codes are stable for scripting: 0 success, 2 input or validation error, 1
+internal error. Every command checks its inputs with the simulator's own
+checks, so a model, scenario or trace that one command accepts, the
+simulator can run. All randomness flows from --seed; no run reads the
+clock or the environment for entropy. Set DCSIM_LOG to a logging level
+name for diagnostics.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 
 from . import engine as engine_mod
 from . import report as report_mod
@@ -25,7 +25,6 @@ from .algorithms import (
     OPTIMIZER_ALGORITHMS,
     PLACEMENT_ALGORITHMS,
     AlgorithmConfig,
-    gen_seasonal_workload,
 )
 from .extraction import (
     IngestError,
@@ -40,12 +39,20 @@ from .model import (
     POLYNOMIAL,
     POLYNOMIAL_PLUS_EXPONENTIAL,
     ModelFormatError,
+    _reject_unknown,
     load_model,
     power_model_to_dict,
+    validate,
     workload_to_dict,
     write_json,
 )
-from .scenario import ScenarioError, load_scenario, scenario_to_dict
+from .scenario import (
+    _MALFORMED,
+    ScenarioError,
+    _malformed,
+    load_scenario,
+    scenario_to_dict,
+)
 
 log = logging.getLogger("dcsim.cli")
 
@@ -59,16 +66,6 @@ def relative_error(measured: float, predicted: float) -> float:
     return abs((measured - predicted) / measured)
 
 
-def _parse_noise(text: str) -> tuple[float, float]:
-    low_text, sep, high_text = text.partition(":")
-    if not sep:
-        raise ValueError(f"noise must look like LOW:HIGH, got {text!r}")
-    low, high = float(low_text), float(high_text)
-    if low > high:
-        raise ValueError("noise low bound exceeds high bound")
-    return low, high
-
-
 def _parse_family(text: str) -> tuple[str, int]:
     if text == "poly-exp":
         return POLYNOMIAL_PLUS_EXPONENTIAL, 3
@@ -79,11 +76,18 @@ def _parse_family(text: str) -> tuple[str, int]:
     raise ValueError(f"unknown power model family {text!r} (use polyN or poly-exp)")
 
 
+def _read_config(path: str, build):
+    """``build`` applied to the JSON document in ``path``. Malformed JSON,
+    an unknown or missing key, or a value of the wrong type raises an error
+    that names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return build(json.load(fh))
+        except _MALFORMED as exc:
+            raise _malformed(path, exc) from exc
+
+
 def _algorithm_config(args) -> AlgorithmConfig:
-    overrides = {}
-    if getattr(args, "algo_config", None):
-        with open(args.algo_config, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
     base = {
         "placement": args.placement,
         "optimizer": None if args.optimizer == "none" else args.optimizer,
@@ -92,7 +96,11 @@ def _algorithm_config(args) -> AlgorithmConfig:
         "spare_servers": args.spare_servers,
         "imbalance_threshold": args.imbalance_threshold,
     }
-    base.update(overrides)
+    if args.algo_config:
+        return _read_config(
+            args.algo_config,
+            lambda overrides: AlgorithmConfig.from_dict({**base, **overrides}),
+        )
     return AlgorithmConfig.from_dict(base)
 
 
@@ -140,6 +148,9 @@ def _window_store(store: MeasurementStore, t0: float, t1: float) -> MeasurementS
 def cmd_extract(args) -> int:
     _check_window(args)
     model = load_model(args.model)
+    problems = validate(model)
+    if problems:
+        raise ValueError("model does not validate: " + "; ".join(problems))
     store = ingest_measurements(args.metrics, args.events)
     servers = args.servers.split(",") if args.servers else None
     result = extract_scenario(
@@ -197,146 +208,84 @@ def cmd_fit_power(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    """One configuration's outcome within a comparison."""
-
-    label: str
-    total_energy_wh: float
-    rejected_placements: int
-    scaling_actions: int
-    mean_instances: float | None
+_COMPARE_KEYS = {"label", "model", "scenario", "algorithms", "sim"}
 
 
-@dataclass(frozen=True)
-class EnergyDelta:
-    a: str
-    b: str
-    delta_wh: float
-    delta_percent: float | None
-
-
-@dataclass(frozen=True)
-class CompareResult:
-    """Several configurations run on the same model, scenario, and seed."""
-
-    runs: tuple[RunSummary, ...]
-    pairwise: tuple[EnergyDelta, ...]
-    lowest_energy: str
-
-    def to_dict(self) -> dict:
-        return {
-            "runs": [asdict(r) for r in self.runs],
-            "pairwise": [asdict(d) for d in self.pairwise],
-            "lowest_energy": self.lowest_energy,
-        }
+def _compare_run(cfg: dict, path: str, seed: int) -> dict:
+    """One ``compare`` configuration; relative model and scenario paths are
+    resolved against the directory of the file at ``path``."""
+    _reject_unknown(cfg, _COMPARE_KEYS, "compare config")
+    base = os.path.dirname(os.path.abspath(path))
+    return {
+        "label": cfg.get("label", os.path.basename(path)),
+        "inputs": tuple(
+            os.path.normpath(os.path.join(base, cfg[key])) for key in ("model", "scenario")
+        ),
+        "algorithms": AlgorithmConfig.from_dict(cfg.get("algorithms", {})),
+        "config": engine_mod.SimConfig(**dict(cfg.get("sim", {}), seed=seed)),
+    }
 
 
 def cmd_compare(args) -> int:
+    """Run every configuration on one model, scenario and seed, which are
+    loaded once; print a table and optionally write it as JSON."""
     if len(args.config) < 2:
         raise ValueError("compare needs at least two --config files")
-    runs = []
-    shared: tuple[str, str] | None = None
-    for path in args.config:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        base = os.path.dirname(os.path.abspath(path))
-
-        def resolve(p: str) -> str:
-            return p if os.path.isabs(p) else os.path.normpath(os.path.join(base, p))
-
-        model_path = resolve(cfg["model"])
-        scenario_path = resolve(cfg["scenario"])
-        if shared is None:
-            shared = (model_path, scenario_path)
-        elif shared != (model_path, scenario_path):
-            raise ValueError("compare configurations disagree on model/scenario paths")
-        sim_kwargs = dict(cfg.get("sim", {}))
-        sim_kwargs["seed"] = args.seed
-        runs.append(
-            {
-                "label": cfg.get("label", os.path.basename(path)),
-                "model_path": model_path,
-                "scenario_path": scenario_path,
-                "algorithms": AlgorithmConfig.from_dict(cfg.get("algorithms", {})),
-                "config": engine_mod.SimConfig(**sim_kwargs),
-            }
-        )
+    runs = [
+        _read_config(path, lambda cfg: _compare_run(cfg, path, args.seed))
+        for path in args.config
+    ]
+    inputs = {run["inputs"] for run in runs}
+    if len(inputs) > 1:
+        raise ValueError("compare configurations disagree on model/scenario paths")
+    ((model_path, scenario_path),) = inputs
+    model = load_model(model_path)
+    scenario = load_scenario(scenario_path, known_vm_ids=[vm.id for vm in model.initial_vms])
 
     rows = []
-    for run_spec in runs:
-        model = load_model(run_spec["model_path"])
-        scenario = load_scenario(
-            run_spec["scenario_path"], known_vm_ids=[vm.id for vm in model.initial_vms]
-        )
-        report = engine_mod.run(model, scenario, run_spec["algorithms"], run_spec["config"])
+    for run in runs:
+        report = engine_mod.run(model, scenario, run["algorithms"], run["config"])
         apps = sorted(report.app_instance_counts)
-        mean_instances = (
-            sum(report.mean_instances(a) for a in apps) / len(apps) if apps else None
-        )
-        rows.append(
-            RunSummary(
-                label=run_spec["label"],
-                total_energy_wh=report.total_energy_wh,
-                rejected_placements=report.rejected_placements(),
-                scaling_actions=report.scaling_action_count(),
-                mean_instances=mean_instances,
-            )
-        )
-
-    lowest = min(range(len(rows)), key=lambda i: (rows[i].total_energy_wh, i))
+        rows.append({
+            "label": run["label"],
+            "total_energy_wh": report.total_energy_wh,
+            "rejected_placements": report.rejected_placements(),
+            "scaling_actions": report.scaling_action_count(),
+            "mean_instances": (
+                sum(report.mean_instances(a) for a in apps) / len(apps) if apps else None
+            ),
+        })
+    lowest = min(range(len(rows)), key=lambda i: (rows[i]["total_energy_wh"], i))
     pairwise = []
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            delta = rows[j].total_energy_wh - rows[i].total_energy_wh
-            base_energy = rows[i].total_energy_wh
-            pairwise.append(
-                EnergyDelta(
-                    a=rows[i].label,
-                    b=rows[j].label,
-                    delta_wh=delta,
-                    delta_percent=100.0 * delta / base_energy if base_energy else None,
-                )
-            )
-    result = CompareResult(
-        runs=tuple(rows), pairwise=tuple(pairwise),
-        lowest_energy=rows[lowest].label,
-    )
+    for i, a in enumerate(rows):
+        for b in rows[i + 1:]:
+            delta = b["total_energy_wh"] - a["total_energy_wh"]
+            pairwise.append({
+                "a": a["label"],
+                "b": b["label"],
+                "delta_wh": delta,
+                "delta_percent": (
+                    100.0 * delta / a["total_energy_wh"] if a["total_energy_wh"] else None
+                ),
+            })
 
     header = f"{'label':<24} {'energy_wh':>12} {'rejected':>9} {'actions':>8} {'mean_inst':>10}"
     print(header)
     for i, row in enumerate(rows):
-        mean = f"{row.mean_instances:.2f}" if row.mean_instances is not None else "-"
+        mean = f"{row['mean_instances']:.2f}" if row["mean_instances"] is not None else "-"
         marker = " *" if i == lowest else ""
         print(
-            f"{row.label:<24} {row.total_energy_wh:>12.2f} "
-            f"{row.rejected_placements:>9d} {row.scaling_actions:>8d} "
+            f"{row['label']:<24} {row['total_energy_wh']:>12.2f} "
+            f"{row['rejected_placements']:>9d} {row['scaling_actions']:>8d} "
             f"{mean:>10}{marker}"
         )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            write_json(result.to_dict(), fh.write)
+            write_json(
+                {"runs": rows, "pairwise": pairwise, "lowest_energy": rows[lowest]["label"]},
+                fh.write,
+            )
             fh.write("\n")
-    return 0
-
-
-def cmd_gen_workload(args) -> int:
-    noise_low, noise_high = _parse_noise(args.noise)
-    series = gen_seasonal_workload(
-        peak=args.peak,
-        periods=args.periods,
-        duration=args.duration,
-        noise_low=noise_low,
-        noise_high=noise_high,
-        seed=args.seed,
-        step=args.step,
-    )
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "rate"])
-        for t, rate in series:
-            writer.writerow([t, rate])
-    print(f"wrote {len(series)} samples to {args.out}")
     return 0
 
 
@@ -405,16 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_parser.add_argument("--out", help="write the comparison as JSON")
     cmp_parser.set_defaults(func=cmd_compare)
 
-    gen = sub.add_parser("gen-workload", help="generate a synthetic seasonal workload")
-    gen.add_argument("--peak", type=float, required=True)
-    gen.add_argument("--periods", type=int, required=True)
-    gen.add_argument("--duration", type=float, required=True)
-    gen.add_argument("--noise", default="0:0", help="LOW:HIGH uniform noise bounds")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--step", type=float, default=5.0)
-    gen.add_argument("--out", required=True)
-    gen.set_defaults(func=cmd_gen_workload)
-
     err = sub.add_parser("report-error", help="relative energy prediction error")
     err.add_argument("--measured", type=float, required=True)
     err.add_argument("--predicted", type=float, required=True)
@@ -426,13 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     level = os.environ.get("DCSIM_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse would read a leading-minus value like "-3:2" as a flag
-    for i, token in enumerate(argv[:-1]):
-        if token == "--noise" and argv[i + 1].startswith("-"):
-            argv[i] = f"--noise={argv[i + 1]}"
-            del argv[i + 1]
-            break
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

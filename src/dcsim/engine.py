@@ -93,11 +93,13 @@ class SimConfig:
     def __post_init__(self):
         for name in ("end_time", "measurement_interval", "optimizer_interval",
                      "autoscaler_interval", "migration_bandwidth"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0")
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         for name in ("boot_latency", "placement_decision_latency", "power_transition_latency"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and 0 <= value < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def integrate_energy(power_series: list[tuple[float, float]], end_time: float) -> float:

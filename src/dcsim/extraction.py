@@ -41,7 +41,7 @@ from .scenario import (
     StopApplication,
     TimelineEvent,
 )
-from .state import LifecycleEntry, MetricSample
+from .state import LIFECYCLE_COLUMNS, METRIC_COLUMNS, LifecycleEntry, MetricSample
 
 log = logging.getLogger("dcsim.extraction")
 
@@ -148,11 +148,6 @@ def _check_lifecycle_order(store: MeasurementStore) -> None:
                 ended = True
 
 
-METRIC_COLUMNS = ["timestamp_s", "entity_kind", "entity_id", "metric", "value"]
-LIFECYCLE_COLUMNS = [
-    "timestamp_s", "vm_id", "event", "host_id",
-    "flavor_vcpus", "flavor_ram_mib", "initiator",
-]
 INITIATORS = tuple(initiator.value for initiator in Initiator)
 
 
@@ -216,9 +211,12 @@ def ingest_measurements(
                     raise ValueError(f"unknown lifecycle event {event!r}")
                 if initiator not in INITIATORS:
                     raise ValueError(f"unknown initiator {initiator!r}")
+                time = _finite("timestamp_s", t)
+                flavor = VmFlavor(int(vcpus), _finite("flavor_ram_mib", ram))
+                if problems := flavor.check():
+                    raise ValueError("; ".join(problems))
                 append(LifecycleEntry(
-                    _finite("timestamp_s", t), vm_id, event, host_id or None,
-                    int(vcpus), _finite("flavor_ram_mib", ram), initiator,
+                    time, vm_id, event, host_id or None, flavor.vcpus, flavor.ram, initiator,
                 ))
             except ValueError as exc:
                 if not row:

@@ -21,6 +21,7 @@ from itertools import islice
 
 from .engine import SimulationReport
 from .model import write_json
+from .state import LIFECYCLE_COLUMNS, METRIC_COLUMNS
 
 UTILIZATION_CSV = "utilization.csv"
 POWER_CSV = "power.csv"
@@ -83,18 +84,14 @@ def write_report(report: SimulationReport, out_dir: str) -> list[str]:
         f"{t!r},{q[action]},{q[subject]},{q[outcome]}\r\n"
         for t, action, subject, outcome in report.actions
     ))
-    _write_csv(path(METRICS_CSV), "timestamp_s,entity_kind,entity_id,metric,value", (
+    _write_csv(path(METRICS_CSV), ",".join(METRIC_COLUMNS), (
         f"{t!r},{q[kind]},{q[entity_id]},{q[metric]},{value!r}\r\n"
         for t, kind, entity_id, metric, value in report.metrics
     ))
-    _write_csv(
-        path(LIFECYCLE_CSV),
-        "timestamp_s,vm_id,event,host_id,flavor_vcpus,flavor_ram_mib,initiator",
-        (
-            f"{t!r},{q[vm_id]},{q[event]},{q[host_id]},{vcpus!r},{ram!r},{q[initiator]}\r\n"
-            for t, vm_id, event, host_id, vcpus, ram, initiator in report.lifecycle
-        ),
-    )
+    _write_csv(path(LIFECYCLE_CSV), ",".join(LIFECYCLE_COLUMNS), (
+        f"{t!r},{q[vm_id]},{q[event]},{q[host_id]},{vcpus!r},{ram!r},{q[initiator]}\r\n"
+        for t, vm_id, event, host_id, vcpus, ram, initiator in report.lifecycle
+    ))
     if report.autoscaler_series:
         _write_csv(path(AUTOSCALER_CSV), "time_s,application_id,instances,rate", (
             f"{t!r},{q[app_id]},{instances!r},{rate!r}\r\n"

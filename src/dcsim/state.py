@@ -82,9 +82,10 @@ def proportional_share_rates(demands: Sequence[float], capacity: float) -> list[
     return [d * scale for d in demands]
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    """A scheduled kernel event; the queue pops in (time, sequence) order."""
+class SimEvent(NamedTuple):
+    """A scheduled kernel event. The queue holds the events themselves and
+    pops them in (time, sequence) order; sequences are unique, so ``kind``
+    and ``payload`` are never compared."""
 
     time: float
     sequence: int
@@ -103,6 +104,15 @@ MIGRATION_FINISHED = "migration_finished"
 BOOT_FINISHED = "boot_finished"
 POWER_TRANSITION_FINISHED = "power_transition_finished"
 RATE_UPDATE = "rate_update"
+
+
+#: Header fields of the monitoring-trace CSVs, one per field of the records
+#: below; the report writes them and ingest requires them.
+METRIC_COLUMNS = ["timestamp_s", "entity_kind", "entity_id", "metric", "value"]
+LIFECYCLE_COLUMNS = [
+    "timestamp_s", "vm_id", "event", "host_id",
+    "flavor_vcpus", "flavor_ram_mib", "initiator",
+]
 
 
 class MetricSample(NamedTuple):
@@ -216,7 +226,7 @@ class SimulationState:
         self.config = config
         self.now = 0.0
         self.sequence = 0
-        self._queue: list[tuple[float, int, SimEvent]] = []
+        self._queue: list[SimEvent] = []
         self.servers: dict[str, ServerRuntime] = {
             s.id: ServerRuntime(spec=s, power_state=model.power_state(s.id))
             for s in model.servers
@@ -234,15 +244,15 @@ class SimulationState:
     # -- scheduling ----------------------------------------------------------
 
     def schedule(self, time: float, kind: str, payload: tuple = ()) -> SimEvent:
-        event = SimEvent(time=time, sequence=self.sequence, kind=kind, payload=payload)
+        event = SimEvent(time, self.sequence, kind, payload)
         self.sequence += 1
-        heapq.heappush(self._queue, (event.time, event.sequence, event))
+        heapq.heappush(self._queue, event)
         return event
 
     def pop_event(self) -> SimEvent | None:
         if not self._queue:
             return None
-        return heapq.heappop(self._queue)[2]
+        return heapq.heappop(self._queue)
 
     # -- logging ---------------------------------------------------------------
 

@@ -98,7 +98,7 @@ def pump(engine, until: float) -> None:
             break
         if event.time > until:
             # put it back: peeked too far
-            heapq.heappush(engine.sim._queue, (event.time, event.sequence, event))
+            heapq.heappush(engine.sim._queue, event)
             break
         engine.sim.now = event.time
         engine.handlers[event.kind](event.payload)

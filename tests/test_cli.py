@@ -1,3 +1,4 @@
+import collections
 import csv
 import json
 import math
@@ -200,47 +201,6 @@ class TestSimulate:
             assert first == second, name
 
 
-class TestGenWorkload:
-    def test_full_experiment_scale(self, tmp_path):
-        out = str(tmp_path / "w.csv")
-        code = main([
-            "gen-workload", "--peak", "100", "--periods", "16",
-            "--duration", "41400", "--noise", "-3:2", "--seed", "42",
-            "--step", "5", "--out", out,
-        ])
-        assert code == 0
-        with open(out) as fh:
-            rows = list(csv.DictReader(fh))
-        rates = [float(r["rate"]) for r in rows]
-        assert 97.0 <= max(rates) <= 102.0
-
-    def test_zero_noise_zero_origin(self, tmp_path):
-        out = str(tmp_path / "w.csv")
-        assert main([
-            "gen-workload", "--peak", "50", "--periods", "1",
-            "--duration", "1000", "--noise", "0:0", "--out", out,
-        ]) == 0
-        with open(out) as fh:
-            first = next(csv.DictReader(fh))
-        assert float(first["time_s"]) == 0.0
-        assert float(first["rate"]) == 0.0
-
-    def test_seed_reproducible(self, tmp_path):
-        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        args = ["gen-workload", "--peak", "100", "--periods", "16",
-                "--duration", "41400", "--noise", "-3:2", "--seed", "42"]
-        assert main(args + ["--out", a]) == 0
-        assert main(args + ["--out", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
-
-    def test_invalid_noise_exits_2(self, tmp_path):
-        assert main([
-            "gen-workload", "--peak", "100", "--periods", "1",
-            "--duration", "100", "--noise", "3:-3",
-            "--out", str(tmp_path / "w.csv"),
-        ]) == 2
-
-
 class TestExtract:
     def test_round_trip_through_files(self, inputs, capsys):
         tmp_path, model, scenario = inputs
@@ -278,6 +238,25 @@ class TestExtract:
         ])
         assert code == 0
         assert "extracted 0 VMs" in capsys.readouterr().out
+
+    def test_invalid_model_exits_2(self, inputs, capsys):
+        tmp_path, model, scenario = inputs
+        out = str(tmp_path / "run")
+        assert main(simulate_args(model, scenario, out)) == 0
+        with open(model) as fh:
+            doc = json.load(fh)
+        doc["servers"][0]["core_speed"] = -2.5
+        with open(model, "w") as fh:
+            json.dump(doc, fh)
+        code = main([
+            "extract", "--metrics", os.path.join(out, "metrics.csv"),
+            "--events", os.path.join(out, "lifecycle.csv"),
+            "--model", model, "--from", "0", "--to", "5400",
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        assert "model does not validate: server s1" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x.json")
 
     def test_reversed_window_exits_2(self, inputs):
         tmp_path, model, _ = inputs
@@ -399,6 +378,65 @@ class TestCompare:
         tmp_path, model, scenario = inputs
         a = self._config(tmp_path, "a.json", model, scenario, {})
         assert main(["compare", "--config", a]) == 2
+
+    def test_shared_inputs_load_once(self, inputs, monkeypatch):
+        import dcsim.cli as cli
+
+        tmp_path, model, scenario = inputs
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "load_model", counted("model", cli.load_model))
+        monkeypatch.setattr(cli, "load_scenario", counted("scenario", cli.load_scenario))
+        a = self._config(tmp_path, "a.json", model, scenario, {})
+        b = self._config(tmp_path, "b.json", model, scenario, {"optimizer": "consolidation"})
+        assert main(["compare", "--config", a, "--config", b]) == 0
+        assert calls == {"model": 1, "scenario": 1}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("simulate", {"bogus": 1}, "'bogus'"),
+    ("simulate", {"react": {"upper": 2}}, "'upper'"),
+    ("simulate", {"spare_servers": 1.5}, "spare_servers must be an integer >= 0, got 1.5"),
+    ("simulate", {"reg": {"window": 2.5}}, "window must be an integer >= 2, got 2.5"),
+    ("simulate", {"power_manager_enabled": "no"}, "must be true or false, got 'no'"),
+    ("compare", {"bogus": 1}, "compare config: unknown keys ['bogus']"),
+    ("compare", {"algorithms": {"react": {"upper": 2}}}, "'upper'"),
+    ("compare", {"algorithms": {"spare_servers": 1.5}}, "spare_servers must be an integer"),
+    ("compare", {"sim": {"bogus": 1}}, "'bogus'"),
+    ("compare", {"sim": {"end_time": "100"}}, "end_time must be finite and > 0, got '100'"),
+    ("compare", {"model": None}, "missing key 'model'"),
+    ("compare", {"scenario": None}, "missing key 'scenario'"),
+], ids=["algo-unknown-key", "algo-unknown-react-key", "algo-fractional-spares",
+        "algo-fractional-reg-window", "algo-string-power-manager",
+        "compare-unknown-key", "compare-unknown-react-key", "compare-fractional-spares",
+        "compare-unknown-sim-key", "compare-string-end-time", "compare-no-model",
+        "compare-no-scenario"])
+def test_malformed_config_names_file(inputs, capsys, command, config, message):
+    """A config file that the simulator cannot run exits 2 and names the
+    file; a ``None`` value drops that key from a compare config."""
+    tmp_path, model, scenario = inputs
+    bad = tmp_path / "bad.json"
+    if command == "simulate":
+        bad.write_text(json.dumps(config))
+        args = simulate_args(model, scenario, str(tmp_path / "out"))
+        args += ["--algo-config", str(bad)]
+    else:
+        base = {"model": model, "scenario": scenario, "sim": {"end_time": 5400.0}}
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(base))
+        base.update(config)
+        bad.write_text(json.dumps({k: v for k, v in base.items() if v is not None}))
+        args = ["compare", "--config", str(good), "--config", str(bad)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    assert message in err
 
 
 def test_report_error_prints_table_format(capsys):

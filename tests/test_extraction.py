@@ -136,8 +136,12 @@ class TestIngest:
          "m.csv line 5: could not convert"),
         ("", "0,v,submitted,,1,1024,tenant\n\n\n1,v,started,s1,one,1024,tenant\n",
          "e.csv line 5: invalid literal"),
+        ("", "0,v,submitted,,-2,-1024,tenant\n", "e.csv line 2: flavor vcpus must be >= 1, "
+         "got -2; flavor ram must be finite and > 0 MiB, got -1024.0$"),
+        ("", "0,v,submitted,,1,0,tenant\n", "e.csv line 2: flavor ram must be finite and > 0"),
     ], ids=["metric-short", "metric-long", "lifecycle-short", "lifecycle-long",
-            "metric-after-blank-lines", "lifecycle-after-blank-lines"])
+            "metric-after-blank-lines", "lifecycle-after-blank-lines",
+            "lifecycle-negative-flavor", "lifecycle-zero-ram"])
     def test_bad_row_names_file_and_physical_line(
         self, tmp_path, metric_rows, lifecycle_rows, where
     ):
