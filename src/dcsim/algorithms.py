@@ -22,7 +22,7 @@ from .correspondence import (
     RuntimeModelSnapshot,
     ServerView,
 )
-from .model import POWER_ON, VmFlavor
+from .model import POWER_ON, VmFlavor, reject_bool_numbers
 
 PLACEMENT_ALGORITHMS = ("best-fit-ram", "worst-fit-ram")
 OPTIMIZER_ALGORITHMS = ("consolidation", "load-balance", "none")
@@ -35,6 +35,7 @@ class ReactConfig:
     lower_utilization: float = 0.3  # instances below this are under-utilized
 
     def __post_init__(self):
+        reject_bool_numbers(self)
         if not 0 < self.upper_utilization <= 1:
             raise ValueError("upper_utilization must be in (0, 1]")
         if not 0 < self.lower_utilization <= 1:
@@ -50,6 +51,7 @@ class RegConfig:
     lower_threshold: float = 0.5
 
     def __post_init__(self):
+        reject_bool_numbers(self)
         if not isinstance(self.window, int) or self.window < 2:
             raise ValueError(f"window must be an integer >= 2, got {self.window!r}")
         if not 0 < self.upper_threshold <= 1:
@@ -63,8 +65,8 @@ class RegConfig:
 @dataclass(frozen=True)
 class AlgorithmConfig:
     placement: str = "best-fit-ram"
-    optimizer: str | None = None
-    autoscaler: str | None = None
+    optimizer: str = "none"
+    autoscaler: str = "none"
     power_manager_enabled: bool = False
     spare_servers: int = 0
     react: ReactConfig = field(default_factory=ReactConfig)
@@ -72,11 +74,12 @@ class AlgorithmConfig:
     imbalance_threshold: float = 1024.0  # MiB gap that triggers a balancing move
 
     def __post_init__(self):
+        reject_bool_numbers(self)
         if self.placement not in PLACEMENT_ALGORITHMS:
             raise ValueError(f"unknown placement algorithm {self.placement!r}")
-        if self.optimizer not in (None,) + OPTIMIZER_ALGORITHMS:
+        if self.optimizer not in OPTIMIZER_ALGORITHMS:
             raise ValueError(f"unknown optimizer algorithm {self.optimizer!r}")
-        if self.autoscaler not in (None,) + AUTOSCALER_ALGORITHMS:
+        if self.autoscaler not in AUTOSCALER_ALGORITHMS:
             raise ValueError(f"unknown autoscaler algorithm {self.autoscaler!r}")
         if not isinstance(self.power_manager_enabled, bool):
             raise ValueError(

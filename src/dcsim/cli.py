@@ -90,8 +90,8 @@ def _read_config(path: str, build):
 def _algorithm_config(args) -> AlgorithmConfig:
     base = {
         "placement": args.placement,
-        "optimizer": None if args.optimizer == "none" else args.optimizer,
-        "autoscaler": None if args.autoscaler == "none" else args.autoscaler,
+        "optimizer": args.optimizer,
+        "autoscaler": args.autoscaler,
         "power_manager_enabled": args.power_manager,
         "spare_servers": args.spare_servers,
         "imbalance_threshold": args.imbalance_threshold,

@@ -1,12 +1,15 @@
 """Runtime-model view, adaptation actions, their enactment, and admission.
 
 Management algorithms never touch simulation state directly. They read a
-``RuntimeModelSnapshot`` (a consistent copy synchronized from the
-simulation) and return ``AdaptationAction`` values, which ``enact``
-translates into simulation state changes and scheduled events. ``admit``
-gives every new VM, tenant-started or scaled out, a host through the same
-steps: placement on a fresh view, then the ``Place`` rules. Runtime and
-simulation entities share their ids, so the view needs no link table.
+``RuntimeModelSnapshot`` (a consistent copy of the servers and VMs,
+synchronized from the simulation) and return ``AdaptationAction`` values,
+which ``enact`` translates into simulation state changes and scheduled
+events. The autoscalers take their inputs (offered rate, instances) from
+the engine's application tiers, so the snapshot holds servers and VMs
+only. ``admit`` gives every new VM, tenant-started or scaled out, a host
+through the same steps: placement on a fresh view, then the ``Place``
+rules. Runtime and simulation entities share their ids, so the view needs
+no link table.
 """
 
 from __future__ import annotations
@@ -44,21 +47,11 @@ class VmView:
 
 
 @dataclass(frozen=True)
-class ApplicationView:
-    id: str
-    instance_ids: tuple[str, ...]
-    offered_rate: float
-    per_instance_capacity: float
-
-
-@dataclass(frozen=True)
 class RuntimeModelSnapshot:
-    """Read-only data-center view handed to algorithms."""
+    """Read-only data-center view handed to algorithms: servers and VMs."""
 
     servers: tuple[ServerView, ...]
     vms: tuple[VmView, ...]
-    applications: tuple[ApplicationView, ...]
-    current_time: float
 
 
 # --- adaptation actions ------------------------------------------------------
@@ -136,7 +129,6 @@ def sync_measurements(sim: SimulationState) -> RuntimeModelSnapshot:
     A host's ``ServerView`` and ``VmView``s are frozen, so each host keeps
     them in ``ServerRuntime.view`` and only a host whose cache the state
     cleared since the last call (see ``dcsim.state``) is rebuilt.
-    Application views are built afresh on every call.
     """
     servers = []
     vms: list[VmView] = []
@@ -145,18 +137,7 @@ def sync_measurements(sim: SimulationState) -> RuntimeModelSnapshot:
             server.view = _host_view(sim, server_id)
         servers.append(server.view[0])
         vms.extend(server.view[1])
-    apps = tuple(
-        ApplicationView(
-            id=app_id,
-            instance_ids=tuple(app.instance_ids),
-            offered_rate=app.offered_rate(sim.now),
-            per_instance_capacity=app.load.per_instance_capacity,
-        )
-        for app_id, app in sim.apps.items()
-    )
-    return RuntimeModelSnapshot(
-        servers=tuple(servers), vms=tuple(vms), applications=apps, current_time=sim.now
-    )
+    return RuntimeModelSnapshot(servers=tuple(servers), vms=tuple(vms))
 
 
 def _host_view(

@@ -8,6 +8,7 @@ seed) yield identical reports.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +36,7 @@ from .model import (
     OpenRequestLoad,
     VmState,
     host_capacity,
+    reject_bool_numbers,
     validate,
 )
 from .scenario import (
@@ -64,7 +66,7 @@ from .state import (
     MetricSample,
     SimEvent,
     SimulationState,
-    VmRecord,
+    VmRuntime,
     proportional_share_rates,
 )
 
@@ -77,6 +79,9 @@ __all__ = [
     "sample_measurements",
     "SimEvent",
 ]
+
+log = logging.getLogger("dcsim.engine")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -91,6 +96,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        reject_bool_numbers(self)
         for name in ("end_time", "measurement_interval", "optimizer_interval",
                      "autoscaler_interval", "migration_bandwidth"):
             value = getattr(self, name)
@@ -152,7 +158,8 @@ def sample_measurements(sim: SimulationState, t: float) -> None:
 
 @dataclass
 class SimulationReport:
-    """Everything a run produced, sufficient to re-derive its metrics."""
+    """Everything a run produced, sufficient to re-derive its metrics: the
+    kernel's own series, logs and ``VmRuntime``s (``vm_records``), not copies."""
 
     end_time: float
     seed: int
@@ -161,7 +168,7 @@ class SimulationReport:
     energy_wh: dict[str, float]
     total_energy_wh: float
     actions: list[ActionEntry]
-    vm_records: dict[str, VmRecord]
+    vm_records: dict[str, VmRuntime]
     autoscaler_series: list[tuple[float, str, int, float]]
     app_instance_counts: dict[str, list[tuple[float, int]]]
     metrics: list[MetricSample] = field(default_factory=list)
@@ -216,13 +223,10 @@ class SimulationReport:
             "end_time": self.end_time,
             "seed": self.seed,
             "total_energy_wh": self.total_energy_wh,
-            "energy_wh": dict(self.energy_wh),
+            "energy_wh": self.energy_wh,
             "servers": {
-                sid: {
-                    "utilization": [[t, v] for t, v in self.utilization[sid]],
-                    "power": [[t, v] for t, v in self.power[sid]],
-                }
-                for sid in self.utilization
+                sid: {"utilization": points, "power": self.power[sid]}
+                for sid, points in self.utilization.items()
             },
             "actions": [
                 {"time": a.time, "action": a.action, "subject": a.subject,
@@ -231,23 +235,20 @@ class SimulationReport:
             ],
             "vms": {
                 vm_id: {
-                    "initiator": r.initiator,
-                    "submit_time": r.submit_time,
-                    "start_time": r.start_time,
-                    "end_time": r.end_time,
-                    "end_kind": r.end_kind,
-                    "hosts": [[t, h] for t, h in r.hosts],
+                    "initiator": vm.initiator.value,
+                    "submit_time": vm.submit_time,
+                    "start_time": vm.start_time,
+                    "end_time": vm.end_time,
+                    "end_kind": vm.end_kind,
+                    "hosts": vm.hosts,
                 }
-                for vm_id, r in self.vm_records.items()
+                for vm_id, vm in self.vm_records.items()
             },
             "autoscaler": [
                 {"time": t, "application": app, "instances": n, "rate": rate}
                 for t, app, n, rate in self.autoscaler_series
             ],
-            "app_instance_counts": {
-                app: [[t, n] for t, n in points]
-                for app, points in self.app_instance_counts.items()
-            },
+            "app_instance_counts": self.app_instance_counts,
         }
 
 
@@ -273,7 +274,7 @@ class _Engine:
         # relative events by the event whose completion triggers them, in scenario order
         self.waiting: dict[str, list[TimelineEvent]] = {}
         self.event_of_vm: dict[str, str] = {}
-        self.optimizer_id = algorithms.optimizer or "none"
+        self.optimizer_id = algorithms.optimizer
         self.optimizer_interval = config.optimizer_interval
         self.autoscaler_series: list[tuple[float, str, int, float]] = []
         self.handlers = {
@@ -337,7 +338,7 @@ class _Engine:
         # mid-run, and the tick is a no-op while it is "none".
         self.sim.schedule(self.optimizer_interval, OPTIMIZER_TICK,
                           (self.sim.optimizer_epoch,))
-        if self.algorithms.autoscaler not in (None, "none"):
+        if self.algorithms.autoscaler != "none":
             self.sim.schedule(self.config.autoscaler_interval, AUTOSCALER_TICK, ())
 
     # -- event handlers ------------------------------------------------------
@@ -477,6 +478,10 @@ class _Engine:
                 break
             self.sim.now = event.time
             self.handlers[event.kind](event.payload)
+        for reference, events in self.waiting.items():
+            for ev in events:
+                log.debug("event %s never ran: its reference %s never completed",
+                          ev.id, reference)
         self.sim.now = self.config.end_time
         return self._build_report()
 
@@ -494,20 +499,18 @@ class _Engine:
         return SimulationReport(
             end_time=self.config.end_time,
             seed=self.config.seed,
-            utilization={
-                sid: list(s.util_points) for sid, s in self.sim.servers.items()
-            },
-            power={sid: list(s.power_points) for sid, s in self.sim.servers.items()},
+            utilization={sid: s.util_points for sid, s in self.sim.servers.items()},
+            power={sid: s.power_points for sid, s in self.sim.servers.items()},
             energy_wh=energy,
             total_energy_wh=sum(energy.values()),
-            actions=list(self.sim.action_log),
-            vm_records={vm_id: vm.record for vm_id, vm in self.sim.vms.items()},
+            actions=self.sim.action_log,
+            vm_records=self.sim.vms,
             autoscaler_series=self.autoscaler_series,
             app_instance_counts={
-                app_id: list(app.count_points) for app_id, app in self.sim.apps.items()
+                app_id: app.count_points for app_id, app in self.sim.apps.items()
             },
-            metrics=list(self.sim.metrics),
-            lifecycle=list(self.sim.lifecycle),
+            metrics=self.sim.metrics,
+            lifecycle=self.sim.lifecycle,
         )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -291,6 +291,8 @@ def validate(model: DataCenterModel) -> list[str]:
             errs.append(f"duplicate vm id {vm.id}")
         seen_vms.add(vm.id)
         errs.extend(vm.check())
+        if vm.state is not VmState.RUNNING:
+            errs.append(f"initial vm {vm.id} must be running, got state {vm.state.value}")
         if vm.host is None:
             errs.append(f"initial vm {vm.id} has no host assignment")
             continue
@@ -334,6 +336,15 @@ def _reject_unknown(obj: Mapping, allowed: set[str], where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ModelFormatError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def reject_bool_numbers(config) -> None:
+    """Reject a bool in any ``int`` or ``float`` field of the dataclass
+    ``config``: JSON's ``true`` reaches Python as an ``int``."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in ("int", "float", int, float) and isinstance(value, bool):
+            raise ValueError(f"{f.name} must be a number, got {value!r}")
 
 
 def workload_to_dict(workload: WorkloadModel) -> dict:

@@ -40,6 +40,9 @@ each host keeps one boundary timer. ``refresh_host`` re-arms it for the
 earliest trace VM and bumps ``ServerRuntime.timer_epoch``, which makes the
 timer it replaces stale.
 
+Each ``VmRuntime`` is also the VM's report entry: it keeps its lifecycle
+times and host history, and ``end_kind`` is derived from its ``state``.
+
 The log records (``MetricSample``, ``LifecycleEntry``, ``ActionEntry``) are
 immutable named tuples: a run builds one per measurement, and ingest one
 per CSV row, so each is as cheap to build as a tuple.
@@ -55,6 +58,7 @@ from typing import Callable, NamedTuple, Sequence
 from .model import (
     POWER_OFF,
     POWER_ON,
+    TERMINAL_STATES,
     BlackBoxTrace,
     DataCenterModel,
     Initiator,
@@ -141,25 +145,15 @@ class ActionEntry(NamedTuple):
 
 
 @dataclass
-class VmRecord:
-    """Per-VM report line: lifecycle timestamps and host history."""
-
-    vm_id: str
-    initiator: str
-    submit_time: float
-    start_time: float | None = None
-    end_time: float | None = None
-    end_kind: str = "running"  # completed | terminated | running | rejected
-    hosts: list[tuple[float, str]] = field(default_factory=list)
-
-
-@dataclass
 class VmRuntime:
     id: str
     flavor: VmFlavor
     workload: WorkloadModel
     initiator: Initiator
-    record: VmRecord
+    submit_time: float = 0.0
+    start_time: float | None = None  # first started
+    end_time: float | None = None  # completed, terminated or rejected
+    hosts: list[tuple[float, str]] = field(default_factory=list)  # (time, server) per move
     state: VmState = VmState.PENDING
     host: str | None = None
     migration_target: str | None = None
@@ -176,6 +170,11 @@ class VmRuntime:
 
     def __post_init__(self) -> None:
         self.trace = isinstance(self.workload, BlackBoxTrace)
+
+    @property
+    def end_kind(self) -> str:
+        """The terminal state's name, or ``"running"`` for a VM not yet ended."""
+        return self.state.value if self.state in TERMINAL_STATES else "running"
 
 
 @dataclass
@@ -398,13 +397,12 @@ class SimulationState:
     ) -> VmRuntime:
         if vm_id in self.vms:
             raise ValueError(f"vm id {vm_id!r} already exists")
-        record = VmRecord(vm_id=vm_id, initiator=initiator.value, submit_time=self.now)
         vm = VmRuntime(
             id=vm_id,
             flavor=flavor,
             workload=workload,
             initiator=initiator,
-            record=record,
+            submit_time=self.now,
             app_id=app_id,
         )
         self.vms[vm_id] = vm
@@ -417,7 +415,7 @@ class SimulationState:
         self.servers[server_id].vm_ids.append(vm.id)
         self._vm_ids_changed(server_id)
         vm.host = server_id
-        vm.record.hosts.append((self.now, server_id))
+        vm.hosts.append((self.now, server_id))
         if vm.app_id is not None:
             app = self.apps[vm.app_id]
             app.instance_ids.append(vm.id)
@@ -437,7 +435,7 @@ class SimulationState:
         vm.state = VmState.RUNNING
         self._derive_running(vm.host)
         vm.last_settle = self.now
-        vm.record.start_time = self.now
+        vm.start_time = self.now
         self.record_lifecycle(vm, "started", host_id=vm.host)
         if vm.trace:
             if not vm.workload.segments:  # empty trace: nothing to execute
@@ -491,7 +489,7 @@ class SimulationState:
         vm.migration_target = None
         vm.state = VmState.RUNNING
         self._derive_running(target)
-        vm.record.hosts.append((self.now, target))
+        vm.hosts.append((self.now, target))
         self.record_lifecycle(vm, "migrated", host_id=target)
         self.refresh_host(source, self.now)
         self.refresh_host(target, self.now)
@@ -508,16 +506,15 @@ class SimulationState:
         """End a never-placed VM whose placement found no server."""
         vm.state = VmState.REJECTED
         del self.live_vms[vm.id]
-        vm.record.end_time = self.now
-        vm.record.end_kind = "rejected"
+        vm.end_time = self.now
 
     def complete_vm(self, vm: VmRuntime) -> None:
-        self._release_vm(vm, VmState.COMPLETED, "completed")
+        self._release_vm(vm, VmState.COMPLETED)
 
     def terminate_vm(self, vm: VmRuntime) -> None:
-        self._release_vm(vm, VmState.TERMINATED, "terminated")
+        self._release_vm(vm, VmState.TERMINATED)
 
-    def _release_vm(self, vm: VmRuntime, final_state: VmState, kind: str) -> None:
+    def _release_vm(self, vm: VmRuntime, final_state: VmState) -> None:
         vm.move_epoch += 1
         touched = [h for h in (vm.host, vm.migration_target) if h is not None]
         for host in touched:
@@ -528,9 +525,8 @@ class SimulationState:
         vm.migration_target = None
         vm.state = final_state
         del self.live_vms[vm.id]
-        vm.record.end_time = self.now
-        vm.record.end_kind = kind
-        self.record_lifecycle(vm, kind)
+        vm.end_time = self.now
+        self.record_lifecycle(vm, final_state.value)
         app = self.apps.get(vm.app_id or "")
         if app is not None and vm.id in app.instance_ids:
             app.instance_ids.remove(vm.id)

@@ -178,9 +178,7 @@ def _random_snapshot(rng: random.Random) -> RuntimeModelSnapshot:
                 power_state=power, utilization=0.0, free_ram=capacity - used,
             )
         )
-    return RuntimeModelSnapshot(
-        servers=tuple(servers), vms=tuple(vms), applications=(), current_time=0.0
-    )
+    return RuntimeModelSnapshot(servers=tuple(servers), vms=tuple(vms))
 
 
 def test_criterion_4_placement_oracles():

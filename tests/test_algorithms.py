@@ -43,9 +43,7 @@ def snap(servers, vms=()):
         VmView(vm_id, VmFlavor(1, float(ram)), host, VmState.RUNNING, 0.0)
         for vm_id, ram, host in vms
     )
-    return RuntimeModelSnapshot(
-        servers=tuple(server_views), vms=vm_views, applications=(), current_time=0.0
-    )
+    return RuntimeModelSnapshot(servers=tuple(server_views), vms=vm_views)
 
 
 FLAVOR_4G = VmFlavor(2, 4096.0)

@@ -8,7 +8,15 @@ import re
 import pytest
 
 from dcsim.cli import main, relative_error
-from dcsim.model import dump_model, parse_model, validate
+from dcsim.model import (
+    BlackBoxTrace,
+    VmFlavor,
+    VmInstance,
+    VmState,
+    dump_model,
+    parse_model,
+    validate,
+)
 from dcsim.scenario import ScenarioError, load_scenario, parse_scenario, serialize_scenario
 from tests.conftest import make_model, start_stop_scenario
 
@@ -77,6 +85,16 @@ class TestSimulate:
         bad = tmp_path / "bad.json"
         bad.write_text('{"servers": [], "power_models": {}, "bogus": 1}')
         assert main(simulate_args(str(bad), scenario, str(tmp_path / "out"))) == 2
+
+    @pytest.mark.parametrize("state", ["booting", "migrating"])
+    def test_initial_vm_not_running_exits_2(self, inputs, capsys, state):
+        tmp_path, model, scenario = inputs
+        vm = VmInstance("v1", VmFlavor(1, 1024.0), BlackBoxTrace(((100.0, 1.0),)),
+                        host="s1", state=VmState(state))
+        with open(model, "w") as fh:
+            fh.write(dump_model(make_model(2, initial_vms=[vm])))
+        assert main(simulate_args(model, scenario, str(tmp_path / "out"))) == 2
+        assert f"initial vm v1 must be running, got state {state}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("document, path, value, entity", [
         ("model", ("servers", 0, "core_speed"), math.nan, "server s1"),
@@ -405,18 +423,21 @@ class TestCompare:
     ("simulate", {"spare_servers": 1.5}, "spare_servers must be an integer >= 0, got 1.5"),
     ("simulate", {"reg": {"window": 2.5}}, "window must be an integer >= 2, got 2.5"),
     ("simulate", {"power_manager_enabled": "no"}, "must be true or false, got 'no'"),
+    ("simulate", {"spare_servers": True}, "spare_servers must be a number, got True"),
+    ("simulate", {"optimizer": None}, "unknown optimizer algorithm None"),
     ("compare", {"bogus": 1}, "compare config: unknown keys ['bogus']"),
     ("compare", {"algorithms": {"react": {"upper": 2}}}, "'upper'"),
     ("compare", {"algorithms": {"spare_servers": 1.5}}, "spare_servers must be an integer"),
     ("compare", {"sim": {"bogus": 1}}, "'bogus'"),
     ("compare", {"sim": {"end_time": "100"}}, "end_time must be finite and > 0, got '100'"),
+    ("compare", {"sim": {"end_time": True}}, "end_time must be a number, got True"),
     ("compare", {"model": None}, "missing key 'model'"),
     ("compare", {"scenario": None}, "missing key 'scenario'"),
 ], ids=["algo-unknown-key", "algo-unknown-react-key", "algo-fractional-spares",
-        "algo-fractional-reg-window", "algo-string-power-manager",
-        "compare-unknown-key", "compare-unknown-react-key", "compare-fractional-spares",
-        "compare-unknown-sim-key", "compare-string-end-time", "compare-no-model",
-        "compare-no-scenario"])
+        "algo-fractional-reg-window", "algo-string-power-manager", "algo-bool-spares",
+        "algo-null-optimizer", "compare-unknown-key", "compare-unknown-react-key",
+        "compare-fractional-spares", "compare-unknown-sim-key", "compare-string-end-time",
+        "compare-bool-end-time", "compare-no-model", "compare-no-scenario"])
 def test_malformed_config_names_file(inputs, capsys, command, config, message):
     """A config file that the simulator cannot run exits 2 and names the
     file; a ``None`` value drops that key from a compare config."""

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import random
 
@@ -661,9 +662,10 @@ class TestRemainingInvariants:
         report = run(model, scenario, NO_ALGO, SimConfig(end_time=2000.0))
         assert report.vm_records["c"].start_time == 100.0 + 250.0 + 400.0
 
-    def test_relative_event_never_runs_without_its_reference(self):
+    def test_relative_event_never_runs_without_its_reference(self, caplog):
         """A start stopped while booting never completes, so what chains off
-        it never triggers; a chain off the stop still does."""
+        it never triggers, and the run logs it; a chain off the stop still
+        does."""
         from dcsim.scenario import RelativeTo
 
         template = trace_template([(10000.0, 1.0)], vcpus=1, ram=1024.0)
@@ -675,8 +677,12 @@ class TestRemainingInvariants:
             TimelineEvent("e4", RelativeTo("e2", 5.0), StartApplication("t", "b")),
         ]
         scenario = ExperimentScenario(events=events, templates={"t": template})
-        report = run(make_model(1), scenario, NO_ALGO,
-                     SimConfig(end_time=2000.0, boot_latency=100.0))
+        with caplog.at_level(logging.DEBUG, logger="dcsim.engine"):
+            report = run(make_model(1), scenario, NO_ALGO,
+                         SimConfig(end_time=2000.0, boot_latency=100.0))
+        assert [r.getMessage() for r in caplog.records] == [
+            "event e3 never ran: its reference e1 never completed"
+        ]
         assert report.vm_records["a"].start_time is None
         assert report.vm_records["a"].end_kind == "terminated"
         assert report.vm_records["b"].submit_time == 15.0
@@ -818,10 +824,10 @@ def test_migration_under_contention_hand_computed():
     pump(harness, 50.0)
     enact(Migrate("vmB", "s1", "s2"), harness.sim)
     pump(harness, 200.0)
-    assert harness.sim.vms["vmB"].record.hosts[-1] == (pytest.approx(51.0), "s2")
-    assert harness.sim.vms["vmA"].record.end_time == pytest.approx(108.5)
-    assert harness.sim.vms["vmB"].record.end_time == pytest.approx(108.5)
-    assert harness.sim.vms["vmB"].record.hosts[-1][1] == "s2"
+    assert harness.sim.vms["vmB"].hosts[-1] == (pytest.approx(51.0), "s2")
+    assert harness.sim.vms["vmA"].end_time == pytest.approx(108.5)
+    assert harness.sim.vms["vmB"].end_time == pytest.approx(108.5)
+    assert harness.sim.vms["vmB"].hosts[-1][1] == "s2"
 
 
 def test_everything_on_integration():

@@ -39,7 +39,7 @@ def _run_engine(traces, moves, horizon=2000.0):
             enact(Migrate(f"vm{index}", vm.host, target), harness.sim)
     pump(harness, horizon)
     return {
-        f"vm{i}": harness.sim.vms[f"vm{i}"].record.end_time
+        f"vm{i}": harness.sim.vms[f"vm{i}"].end_time
         for i in range(len(traces))
     }
 

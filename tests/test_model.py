@@ -91,6 +91,18 @@ class TestValidate:
         )
         assert any("powered-off" in p for p in validate(model))
 
+    def test_initial_vm_must_be_running(self):
+        vms = [
+            _vm("up", 1024, host="s1", state=VmState.RUNNING),
+            _vm("boot", 1024, host="s1", state=VmState.BOOTING),
+            _vm("move", 1024, host="s1", state=VmState.MIGRATING),
+        ]
+        problems = validate(make_model(1, initial_vms=vms))
+        assert problems == [
+            "initial vm boot must be running, got state booting",
+            "initial vm move must be running, got state migrating",
+        ]
+
     def test_host_state_consistency(self):
         assert any("requires a host" in p
                    for p in [e for e in _vm("v", 1024, state=VmState.RUNNING).check()])

@@ -242,7 +242,7 @@ def _odd_id_inputs():
     return model, ExperimentScenario(events=events, templates=templates)
 
 
-@pytest.mark.parametrize("autoscaler", ["react", None])
+@pytest.mark.parametrize("autoscaler", ["react", "none"])
 def test_odd_ids_match_reference_writer(tmp_path, autoscaler):
     """Ids that need CSV quoting or JSON escapes give the reference bytes; a
     run with no autoscaler writes no autoscaler.csv."""
@@ -257,4 +257,4 @@ def test_odd_ids_match_reference_writer(tmp_path, autoscaler):
     write_report(report, str(tmp_path / "new"))
     _reference_write_report(report, str(tmp_path / "reference"))
     names = _assert_same_files(str(tmp_path / "reference"), str(tmp_path / "new"))
-    assert ("autoscaler.csv" in names) == (autoscaler is not None)
+    assert ("autoscaler.csv" in names) == (autoscaler != "none")
