@@ -5,7 +5,11 @@ placement heuristics (best-fit / worst-fit by RAM), the periodic migration
 optimizers (consolidation and load balancing), the free-server power
 manager, and two autoscalers: React, a threshold rule, and Reg, which
 extrapolates the request rate with a sliding-window regression line. All
-of them are pure functions of the snapshot and their configuration.
+of them are pure functions of their inputs and configuration, and all
+return adaptation actions: the placements a server id, the others a list.
+The optimizers and the power manager read the snapshot; the autoscalers
+read their tier's offered rate and instances and return ``ScaleOut`` and
+``ScaleIn`` actions for it.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ from .correspondence import (
     PowerOff,
     PowerOn,
     RuntimeModelSnapshot,
+    ScaleIn,
+    ScaleOut,
     ServerView,
 )
-from .model import POWER_ON, VmFlavor, reject_bool_numbers
+from .model import POWER_ON, VmFlavor, VmState, reject_bool_numbers
 
 PLACEMENT_ALGORITHMS = ("best-fit-ram", "worst-fit-ram")
 OPTIMIZER_ALGORITHMS = ("consolidation", "load-balance", "none")
@@ -100,24 +106,6 @@ class AlgorithmConfig:
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
-class NoChange:
-    pass
-
-
-@dataclass(frozen=True)
-class ScaleOutBy:
-    count: int  # >= 1
-
-
-@dataclass(frozen=True)
-class ScaleInInstances:
-    instance_ids: tuple[str, ...]
-
-
-ScalingDecision = NoChange | ScaleOutBy | ScaleInInstances
-
-
 # --- placement ---------------------------------------------------------------
 
 
@@ -160,7 +148,7 @@ PLACEMENT_FUNCTIONS = {
 def _vms_by_host(snapshot: RuntimeModelSnapshot) -> dict[str, list]:
     by_host: dict[str, list] = {s.id: [] for s in snapshot.servers}
     for vm in snapshot.vms:
-        if vm.host in by_host and vm.state.value in ("running",):
+        if vm.host in by_host and vm.state is VmState.RUNNING:
             by_host[vm.host].append(vm)
     return by_host
 
@@ -260,22 +248,23 @@ def manage_power(
 
 
 def react_decide(
+    app_id: str,
     rate: float,
     instance_ids: tuple[str, ...],
     per_instance_capacity: float,
     config: ReactConfig,
-) -> ScalingDecision:
-    """Threshold-rule autoscaling: out by one on overload, in by one when at
-    least two instances run under-utilized."""
+) -> list[ScaleOut | ScaleIn]:
+    """Threshold-rule autoscaling of tier ``app_id``: out by one on
+    overload, in by one when at least two instances run under-utilized."""
     n = len(instance_ids)
     if n < 1:
         raise ValueError("react_decide requires at least one instance")
     if rate > n * per_instance_capacity * config.upper_utilization:
-        return ScaleOutBy(1)
+        return [ScaleOut(app_id)]
     utilization = (rate / n) / per_instance_capacity
     if n >= 2 and utilization < config.lower_utilization:
-        return ScaleInInstances((max(instance_ids),))
-    return NoChange()
+        return [ScaleIn(app_id, max(instance_ids))]
+    return []
 
 
 def fit_rate_trend(history: list[tuple[float, float]]) -> tuple[float, float]:
@@ -292,14 +281,15 @@ def fit_rate_trend(history: list[tuple[float, float]]) -> tuple[float, float]:
 
 
 def reg_decide(
+    app_id: str,
     rate: float,
     instance_ids: tuple[str, ...],
     per_instance_capacity: float,
     history: list[tuple[float, float]],
     config: RegConfig,
     horizon: float,
-) -> ScalingDecision:
-    """Regression-based autoscaling.
+) -> list[ScaleOut | ScaleIn]:
+    """Regression-based autoscaling of tier ``app_id``.
 
     Fits a least-squares line through the last ``window`` rate samples and
     sizes the pool for the rate predicted one ``horizon`` ahead: on
@@ -319,10 +309,10 @@ def reg_decide(
     predicted = max(0.0, slope * (window[-1][0] + horizon) + intercept)
     required = max(1, math.ceil(predicted / per_instance_capacity))
     if rate > n * per_instance_capacity * config.upper_threshold:
-        return ScaleOutBy(max(1, required - n))
+        return [ScaleOut(app_id)] * max(1, required - n)
     if rate < n * per_instance_capacity * config.lower_threshold and required < n:
-        return ScaleInInstances(tuple(sorted(instance_ids, reverse=True)[: n - required]))
-    return NoChange()
+        return [ScaleIn(app_id, i) for i in sorted(instance_ids, reverse=True)[: n - required]]
+    return []
 
 
 # --- synthetic workload ----------------------------------------------------------

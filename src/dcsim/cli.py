@@ -213,8 +213,12 @@ _COMPARE_KEYS = {"label", "model", "scenario", "algorithms", "sim"}
 
 def _compare_run(cfg: dict, path: str, seed: int) -> dict:
     """One ``compare`` configuration; relative model and scenario paths are
-    resolved against the directory of the file at ``path``."""
+    resolved against the directory of the file at ``path``. ``--seed`` is the
+    one seed of every configuration, so ``sim`` may not hold one."""
     _reject_unknown(cfg, _COMPARE_KEYS, "compare config")
+    sim = cfg.get("sim", {})
+    if "seed" in sim:
+        raise ValueError("sim: seed is set by --seed for every config")
     base = os.path.dirname(os.path.abspath(path))
     return {
         "label": cfg.get("label", os.path.basename(path)),
@@ -222,7 +226,7 @@ def _compare_run(cfg: dict, path: str, seed: int) -> dict:
             os.path.normpath(os.path.join(base, cfg[key])) for key in ("model", "scenario")
         ),
         "algorithms": AlgorithmConfig.from_dict(cfg.get("algorithms", {})),
-        "config": engine_mod.SimConfig(**dict(cfg.get("sim", {}), seed=seed)),
+        "config": engine_mod.SimConfig(**sim, seed=seed),
     }
 
 

@@ -250,9 +250,7 @@ def _enact(
             return Rejected(f"unknown application {action.application_id}")
         instance_id = f"{app.id}-i{app.next_seq:04d}"
         app.next_seq += 1
-        vm = sim.create_vm(
-            instance_id, app.flavor, app.load, Initiator.AUTOSCALER, app_id=app.id
-        )
+        vm = sim.create_vm(instance_id, app.flavor, app.load, Initiator.AUTOSCALER, app=app)
         return admit(vm, sim)
 
     if isinstance(action, ScaleIn):
@@ -265,8 +263,7 @@ def _enact(
             )
         if len(app.instance_ids) <= 1:
             return Rejected("cannot remove the last instance")
-        vm = sim.vms[action.instance_id]
-        sim.terminate_vm(vm)
+        sim.end_vm(sim.vms[action.instance_id], VmState.TERMINATED)
         return None
 
     return Rejected(f"unsupported action {action!r}")

@@ -16,20 +16,13 @@ from .algorithms import (
     OPTIMIZER_FUNCTIONS,
     PLACEMENT_FUNCTIONS,
     AlgorithmConfig,
-    ScaleInInstances,
-    ScaleOutBy,
     manage_power,
     react_decide,
     reg_decide,
 )
-from .correspondence import (
-    ScaleIn,
-    ScaleOut,
-    admit,
-    enact,
-    sync_measurements,
-)
+from .correspondence import admit, enact, sync_measurements
 from .model import (
+    EXECUTING,
     TERMINAL_STATES,
     DataCenterModel,
     Initiator,
@@ -97,6 +90,8 @@ class SimConfig:
 
     def __post_init__(self):
         reject_bool_numbers(self)
+        if not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         for name in ("end_time", "measurement_interval", "optimizer_interval",
                      "autoscaler_interval", "migration_bandwidth"):
             value = getattr(self, name)
@@ -127,7 +122,7 @@ def integrate_energy(power_series: list[tuple[float, float]], end_time: float) -
     return watt_seconds / 3600.0
 
 
-def sample_measurements(sim: SimulationState, t: float) -> None:
+def sample_measurements(sim: SimulationState) -> None:
     """Record the instantaneous measurements the runtime toolkit would see.
 
     Per server: aggregate CPU utilization, power draw, free RAM. Per active
@@ -135,6 +130,7 @@ def sample_measurements(sim: SimulationState, t: float) -> None:
     expressed as a utilization fraction. The records feed the runtime view
     and the exported monitoring trace.
     """
+    t = sim.now
     capacity = {}
     for server_id, server in sim.servers.items():
         capacity[server_id] = host_capacity(server.spec)
@@ -149,7 +145,7 @@ def sample_measurements(sim: SimulationState, t: float) -> None:
             MetricSample(t, "server", server_id, "free_ram_mib", server.free_ram)
         )
     for vm_id, vm in sim.live_vms.items():
-        if vm.state in (VmState.RUNNING, VmState.MIGRATING) and vm.host is not None:
+        if vm.state in EXECUTING:
             sim.metrics.append(
                 MetricSample(t, "vm", vm_id, "vm_cpu_utilization",
                              vm.granted_rate / capacity[vm.host])
@@ -276,6 +272,7 @@ class _Engine:
         self.event_of_vm: dict[str, str] = {}
         self.optimizer_id = algorithms.optimizer
         self.optimizer_interval = config.optimizer_interval
+        self.optimizer_epoch = 0  # invalidates the pending optimizer tick
         self.autoscaler_series: list[tuple[float, str, int, float]] = []
         self.handlers = {
             SCENARIO_REQUEST: lambda p: self._handle_scenario_request(*p),
@@ -305,23 +302,21 @@ class _Engine:
 
     def _install_initial_vms(self) -> None:
         for vm_model in self.model.initial_vms:
-            app_id = None
-            if isinstance(vm_model.workload, OpenRequestLoad):
-                app_id = vm_model.id
-                self._create_application(vm_model.id, vm_model.workload, vm_model.flavor)
+            app = self._create_application(vm_model.id, vm_model.workload, vm_model.flavor)
             vm = self.sim.create_vm(
-                vm_model.id, vm_model.flavor, vm_model.workload,
-                vm_model.initiator, app_id=app_id,
+                vm_model.id, vm_model.flavor, vm_model.workload, vm_model.initiator, app=app
             )
             self.sim.reserve(vm, vm_model.host)
             self.sim.finish_boot(vm)
 
-    def _create_application(self, app_id: str, load: OpenRequestLoad, flavor) -> AppRuntime:
-        app = AppRuntime(
-            id=app_id, load=load, flavor=flavor, created_at=self.sim.now
-        )
+    def _create_application(self, app_id: str, workload, flavor) -> AppRuntime | None:
+        """The request tier that a new VM running ``workload`` serves; None
+        for a black-box trace."""
+        if not isinstance(workload, OpenRequestLoad):
+            return None
+        app = AppRuntime(id=app_id, load=workload, flavor=flavor, created_at=self.sim.now)
         self.sim.apps[app_id] = app
-        for offset, _rate in load.series:
+        for offset, _rate in workload.series:
             when = self.sim.now + offset
             if when <= self.config.end_time:
                 self.sim.schedule(when, RATE_UPDATE, (app_id,))
@@ -336,8 +331,7 @@ class _Engine:
         self.sim.schedule(0.0, MEASUREMENT_SAMPLE, ())
         # The tick chain always runs: a scenario may switch the optimizer on
         # mid-run, and the tick is a no-op while it is "none".
-        self.sim.schedule(self.optimizer_interval, OPTIMIZER_TICK,
-                          (self.sim.optimizer_epoch,))
+        self.sim.schedule(self.optimizer_interval, OPTIMIZER_TICK, (self.optimizer_epoch,))
         if self.algorithms.autoscaler != "none":
             self.sim.schedule(self.config.autoscaler_interval, AUTOSCALER_TICK, ())
 
@@ -362,10 +356,9 @@ class _Engine:
             self._complete_event(event_id, self.sim.now)
         elif isinstance(request, ChangeOptimisationInterval):
             self.optimizer_interval = request.interval
-            self.sim.optimizer_epoch += 1
+            self.optimizer_epoch += 1
             self.sim.schedule(
-                self.sim.now + request.interval, OPTIMIZER_TICK,
-                (self.sim.optimizer_epoch,),
+                self.sim.now + request.interval, OPTIMIZER_TICK, (self.optimizer_epoch,)
             )
             self.sim.log("change-interval", f"{request.interval}", "applied")
             self._complete_event(event_id, self.sim.now)
@@ -373,12 +366,9 @@ class _Engine:
     def _handle_start(self, ev: TimelineEvent, request: StartApplication) -> None:
         template = self.scenario.templates[request.template]
         flavor = request.flavor_override or template.flavor
-        app_id = None
-        if isinstance(template.workload, OpenRequestLoad):
-            app_id = request.vm_id
-            self._create_application(request.vm_id, template.workload, flavor)
+        app = self._create_application(request.vm_id, template.workload, flavor)
         vm = self.sim.create_vm(
-            request.vm_id, flavor, template.workload, Initiator.TENANT, app_id=app_id
+            request.vm_id, flavor, template.workload, Initiator.TENANT, app=app
         )
         self.event_of_vm[vm.id] = ev.id
         if admit(vm, self.sim, self.config.placement_decision_latency) is not None:
@@ -401,7 +391,7 @@ class _Engine:
         elif vm.state in TERMINAL_STATES:
             self.sim.log("stop-request", vm_id, f"no-op: already {vm.state.value}")
         else:
-            self.sim.terminate_vm(vm)
+            self.sim.end_vm(vm, VmState.TERMINATED)
             self.sim.log("stop-request", vm_id, f"terminated {vm_id}")
         self._complete_event(ev.id, self.sim.now)
 
@@ -416,7 +406,7 @@ class _Engine:
             self._complete_event(event_id, self.sim.now)
 
     def _handle_optimizer_tick(self, epoch: int) -> None:
-        if epoch != self.sim.optimizer_epoch:
+        if epoch != self.optimizer_epoch:
             return
         if self.optimizer_id != "none":
             snapshot = sync_measurements(self.sim)
@@ -441,18 +431,14 @@ class _Engine:
                 continue
             capacity = app.load.per_instance_capacity
             if self.algorithms.autoscaler == "react":
-                decision = react_decide(rate, instances, capacity, self.algorithms.react)
+                actions = react_decide(app_id, rate, instances, capacity, self.algorithms.react)
             else:
-                decision = reg_decide(
-                    rate, instances, capacity, app.rate_history,
+                actions = reg_decide(
+                    app_id, rate, instances, capacity, app.rate_history,
                     self.algorithms.reg, self.config.autoscaler_interval,
                 )
-            if isinstance(decision, ScaleOutBy):
-                for _ in range(decision.count):
-                    enact(ScaleOut(app_id), self.sim)
-            elif isinstance(decision, ScaleInInstances):
-                for instance_id in decision.instance_ids:
-                    enact(ScaleIn(app_id, instance_id), self.sim)
+            for action in actions:
+                enact(action, self.sim)
             self.autoscaler_series.append(
                 (self.sim.now, app_id, len(app.instance_ids), rate)
             )
@@ -463,14 +449,14 @@ class _Engine:
     def _handle_rate_update(self, app_id: str) -> None:
         app = self.sim.apps.get(app_id)
         if app is not None:
-            self.sim.recompute_app_demand(app, self.sim.now)
+            self.sim.recompute_app_demand(app)
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> SimulationReport:
         self._install_initial_vms()
         for server_id in self.sim.servers:
-            self.sim.refresh_host(server_id, 0.0)
+            self.sim.refresh_host(server_id)
         self._schedule_initial_events()
         while True:
             event = self.sim.pop_event()
@@ -486,7 +472,7 @@ class _Engine:
         return self._build_report()
 
     def _handle_measurement(self) -> None:
-        sample_measurements(self.sim, self.sim.now)
+        sample_measurements(self.sim)
         self.sim.schedule(
             self.sim.now + self.config.measurement_interval, MEASUREMENT_SAMPLE, ()
         )

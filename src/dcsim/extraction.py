@@ -198,30 +198,29 @@ def ingest_measurements(
             append(MetricSample(time, kind, entity_id, metric, value))
 
     lifecycle = []
-    if lifecycle_file is None:
-        metrics.sort(key=_by_time)
-        return MeasurementStore(metrics=metrics, lifecycle=[])
-    append = lifecycle.append
-    with open(lifecycle_file, "r", newline="", encoding="utf-8") as fh:
-        reader = _csv_rows(fh, lifecycle_file, LIFECYCLE_COLUMNS)
-        for row in reader:
-            try:
-                t, vm_id, event, host_id, vcpus, ram, initiator = row
-                if event not in LIFECYCLE_EVENTS:
-                    raise ValueError(f"unknown lifecycle event {event!r}")
-                if initiator not in INITIATORS:
-                    raise ValueError(f"unknown initiator {initiator!r}")
-                time = _finite("timestamp_s", t)
-                flavor = VmFlavor(int(vcpus), _finite("flavor_ram_mib", ram))
-                if problems := flavor.check():
-                    raise ValueError("; ".join(problems))
-                append(LifecycleEntry(
-                    time, vm_id, event, host_id or None, flavor.vcpus, flavor.ram, initiator,
-                ))
-            except ValueError as exc:
-                if not row:
-                    continue
-                raise _row_error(lifecycle_file, reader, row, len(LIFECYCLE_COLUMNS), exc) from exc
+    if lifecycle_file is not None:
+        append = lifecycle.append
+        with open(lifecycle_file, "r", newline="", encoding="utf-8") as fh:
+            reader = _csv_rows(fh, lifecycle_file, LIFECYCLE_COLUMNS)
+            for row in reader:
+                try:
+                    t, vm_id, event, host_id, vcpus, ram, initiator = row
+                    if event not in LIFECYCLE_EVENTS:
+                        raise ValueError(f"unknown lifecycle event {event!r}")
+                    if initiator not in INITIATORS:
+                        raise ValueError(f"unknown initiator {initiator!r}")
+                    time = _finite("timestamp_s", t)
+                    flavor = VmFlavor(int(vcpus), _finite("flavor_ram_mib", ram))
+                    if problems := flavor.check():
+                        raise ValueError("; ".join(problems))
+                    append(LifecycleEntry(
+                        time, vm_id, event, host_id or None, flavor.vcpus, flavor.ram, initiator,
+                    ))
+                except ValueError as exc:
+                    if not row:
+                        continue
+                    width = len(LIFECYCLE_COLUMNS)
+                    raise _row_error(lifecycle_file, reader, row, width, exc) from exc
 
     metrics.sort(key=_by_time)
     lifecycle.sort(key=_by_time)

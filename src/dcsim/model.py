@@ -34,6 +34,10 @@ HOSTED_STATES = frozenset({VmState.BOOTING, VmState.RUNNING, VmState.MIGRATING})
 #: Terminal states; no transition leaves them.
 TERMINAL_STATES = frozenset({VmState.COMPLETED, VmState.TERMINATED, VmState.REJECTED})
 
+#: States in which a VM executes on its host. A tuple, not a set: ``in``
+#: finds a member by identity, without calling ``VmState.__hash__``.
+EXECUTING = (VmState.RUNNING, VmState.MIGRATING)
+
 
 class Initiator(str, Enum):
     TENANT = "tenant"
@@ -145,12 +149,6 @@ class PowerModel:
 
     family: str
     coefficients: tuple[float, ...]
-
-    @property
-    def degree(self) -> int:
-        if self.family == POLYNOMIAL:
-            return len(self.coefficients) - 1
-        return 3
 
     def check(self) -> list[str]:
         errs = []
@@ -326,6 +324,7 @@ _SERVER_KEYS = {
     "has_power_meter", "idle_off_power",
 }
 _VM_KEYS = {"id", "flavor", "workload", "host", "state", "initiator"}
+_SERVER_NUMBERS = ("cores", "core_speed", "ram_capacity", "idle_off_power")
 
 
 class ModelFormatError(ValueError):
@@ -338,13 +337,26 @@ def _reject_unknown(obj: Mapping, allowed: set[str], where: str) -> None:
         raise ModelFormatError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def reject_bools(obj: Mapping, keys, where: str) -> None:
+    """Reject ``true`` or ``false`` where ``obj`` holds a number at one of
+    ``keys``: JSON's booleans reach Python as ints."""
+    for key in keys:
+        if isinstance(obj.get(key), bool):
+            raise ModelFormatError(f"{where}: {key} must be a number, got {obj[key]!r}")
+
+
+def _number_pairs(obj: Mapping, key: str, where: str) -> tuple[tuple[float, float], ...]:
+    rows = obj[key]
+    if bool in map(type, chain.from_iterable(rows)):
+        raise ModelFormatError(f"{where}: {key} must hold numbers, got true or false")
+    return tuple((float(a), float(b)) for a, b in rows)
+
+
 def reject_bool_numbers(config) -> None:
-    """Reject a bool in any ``int`` or ``float`` field of the dataclass
-    ``config``: JSON's ``true`` reaches Python as an ``int``."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type in ("int", "float", int, float) and isinstance(value, bool):
-            raise ValueError(f"{f.name} must be a number, got {value!r}")
+    """``reject_bools`` on every ``int`` or ``float`` field of the dataclass
+    ``config``."""
+    numbers = [f.name for f in fields(config) if f.type in ("int", "float", int, float)]
+    reject_bools(vars(config), numbers, type(config).__name__)
 
 
 def workload_to_dict(workload: WorkloadModel) -> dict:
@@ -360,26 +372,28 @@ def workload_to_dict(workload: WorkloadModel) -> dict:
     }
 
 
-def workload_from_dict(obj: Mapping) -> WorkloadModel:
+def workload_from_dict(obj: Mapping, where: str = "workload") -> WorkloadModel:
     kind = obj.get("kind")
     if kind == "blackbox_trace":
-        _reject_unknown(obj, {"kind", "segments"}, "workload")
-        return BlackBoxTrace(tuple((float(d), float(w)) for d, w in obj["segments"]))
+        _reject_unknown(obj, {"kind", "segments"}, where)
+        return BlackBoxTrace(_number_pairs(obj, "segments", where))
     if kind == "open_request_load":
-        _reject_unknown(obj, {"kind", "series", "per_instance_capacity"}, "workload")
+        _reject_unknown(obj, {"kind", "series", "per_instance_capacity"}, where)
+        reject_bools(obj, ("per_instance_capacity",), where)
         return OpenRequestLoad(
-            tuple((float(t), float(r)) for t, r in obj["series"]),
+            _number_pairs(obj, "series", where),
             float(obj["per_instance_capacity"]),
         )
-    raise ModelFormatError(f"workload: unknown kind {kind!r}")
+    raise ModelFormatError(f"{where}: unknown kind {kind!r}")
 
 
 def flavor_to_dict(flavor: VmFlavor) -> dict:
     return {"vcpus": flavor.vcpus, "ram": flavor.ram}
 
 
-def flavor_from_dict(obj: Mapping) -> VmFlavor:
-    _reject_unknown(obj, {"vcpus", "ram"}, "flavor")
+def flavor_from_dict(obj: Mapping, where: str = "flavor") -> VmFlavor:
+    _reject_unknown(obj, {"vcpus", "ram"}, where)
+    reject_bools(obj, ("vcpus", "ram"), where)
     return VmFlavor(int(obj["vcpus"]), float(obj["ram"]))
 
 
@@ -387,8 +401,10 @@ def power_model_to_dict(pm: PowerModel) -> dict:
     return {"family": pm.family, "coefficients": list(pm.coefficients)}
 
 
-def power_model_from_dict(obj: Mapping) -> PowerModel:
-    _reject_unknown(obj, {"family", "coefficients"}, "power model")
+def power_model_from_dict(obj: Mapping, where: str) -> PowerModel:
+    _reject_unknown(obj, {"family", "coefficients"}, where)
+    if bool in map(type, obj["coefficients"]):
+        raise ModelFormatError(f"{where}: coefficients must be numbers, got true or false")
     return PowerModel(str(obj["family"]), tuple(float(c) for c in obj["coefficients"]))
 
 
@@ -405,10 +421,11 @@ def vm_to_dict(vm: VmInstance) -> dict:
 
 def vm_from_dict(obj: Mapping) -> VmInstance:
     _reject_unknown(obj, _VM_KEYS, "vm")
+    where = f"vm {obj['id']}"
     return VmInstance(
         id=str(obj["id"]),
-        flavor=flavor_from_dict(obj["flavor"]),
-        workload=workload_from_dict(obj["workload"]),
+        flavor=flavor_from_dict(obj["flavor"], f"{where}: flavor"),
+        workload=workload_from_dict(obj["workload"], f"{where}: workload"),
         host=obj.get("host"),
         state=VmState(obj.get("state", "running")),
         initiator=Initiator(obj.get("initiator", "tenant")),
@@ -442,6 +459,7 @@ def model_from_dict(obj: Mapping) -> DataCenterModel:
     servers = []
     for raw in obj.get("servers", []):
         _reject_unknown(raw, _SERVER_KEYS, "server")
+        reject_bools(raw, _SERVER_NUMBERS, f"server {raw['id']}")
         servers.append(
             ServerSpec(
                 id=str(raw["id"]),
@@ -454,7 +472,7 @@ def model_from_dict(obj: Mapping) -> DataCenterModel:
             )
         )
     power_models = {
-        str(pm_id): power_model_from_dict(raw)
+        str(pm_id): power_model_from_dict(raw, f"power model {pm_id}")
         for pm_id, raw in obj.get("power_models", {}).items()
     }
     initial_vms = tuple(vm_from_dict(raw) for raw in obj.get("initial_vms", []))

@@ -19,6 +19,7 @@ from .model import (
     flavor_from_dict,
     flavor_to_dict,
     json_text,
+    reject_bools,
     workload_from_dict,
     workload_to_dict,
 )
@@ -191,6 +192,7 @@ def _trigger_to_dict(trigger: Trigger) -> dict:
 
 
 def _trigger_from_dict(obj: Mapping) -> Trigger:
+    reject_bools(obj, ("time", "offset"), "trigger")
     kind = obj.get("type")
     if kind == "absolute":
         return AbsoluteTime(float(obj["time"]))
@@ -230,6 +232,7 @@ def _request_from_dict(obj: Mapping) -> Request:
     if kind == "reconfigure_optimisation_algorithm":
         return ReconfigureOptimisationAlgorithm(algorithm=str(obj["algorithm"]))
     if kind == "change_optimisation_interval":
+        reject_bools(obj, ("interval",), "request")
         return ChangeOptimisationInterval(interval=float(obj["interval"]))
     raise ScenarioError(f"unknown request type {kind!r}")
 

@@ -7,20 +7,29 @@ utilization/power series at the instant of change. Power series therefore
 stay piecewise-constant with a point at every change, which makes energy
 integration exact rather than sampled.
 
+The clock is ``SimulationState.now``: the engine sets it to each event's
+time before the event's handler runs, and every transition here reads it.
+
+A VM's request tier is ``VmRuntime.app``; a VM without one runs a black-box
+trace. A trace VM that executes always has a current segment:
+``finish_boot`` completes an empty trace before the VM is listed as
+executing, and ``seg_idx`` passes the last segment only in
+``finish_segment``, just before the VM completes.
+
 A VM's demand and a host's load are derived only in ``refresh_host``: it
 sets ``VmRuntime.demand`` for each VM executing on the host (its current
-trace segment's demand, 0 past the last, or its tier's per-instance demand)
-and derives utilization and power from those demands. ``advance_host`` and
-the runtime view read ``demand`` (still 0.0 on a VM that has never
-executed); readers take utilization and power from the last points of the
-series. The engine refreshes every host at t=0, before anything reads them.
+trace segment's demand or its tier's per-instance demand) and derives
+utilization and power from those demands. ``advance_host`` and the runtime
+view read ``demand`` (still 0.0 on a VM that has never executed); readers
+take utilization and power from the last points of the series. The engine
+refreshes every host at t=0, before anything reads them.
 
 Each host also keeps three derived values. ``ServerRuntime.free_ram`` is
 re-derived with ``model.free_ram`` by ``_vm_ids_changed``, which every
 change of ``vm_ids`` calls: ``reserve``, ``start_migration`` (target),
-``finish_migration`` (source) and ``_release_vm``. ``ServerRuntime.running``
+``finish_migration`` (source) and ``end_vm``. ``ServerRuntime.running``
 lists the VMs executing on the host (``host`` is the server, state
-``RUNNING`` or ``MIGRATING``) in ``vm_ids`` order, which breaks ties between
+in ``EXECUTING``) in ``vm_ids`` order, which breaks ties between
 simultaneous boundaries. ``_derive_running`` re-derives it by filtering
 ``vm_ids``, never by appending, since VMs may start in another order; it
 runs from ``_vm_ids_changed``, from ``finish_boot`` once the VM is
@@ -56,10 +65,10 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 from .model import (
+    EXECUTING,
     POWER_OFF,
     POWER_ON,
     TERMINAL_STATES,
-    BlackBoxTrace,
     DataCenterModel,
     Initiator,
     OpenRequestLoad,
@@ -157,7 +166,7 @@ class VmRuntime:
     state: VmState = VmState.PENDING
     host: str | None = None
     migration_target: str | None = None
-    app_id: str | None = None
+    app: AppRuntime | None = None  # its request tier; None for a black-box trace
     # Black-box trace progress: seg_remaining counts work-units while the
     # segment demands CPU, wall-clock seconds while it is idle (demand 0).
     seg_idx: int = 0
@@ -166,10 +175,6 @@ class VmRuntime:
     granted_rate: float = 0.0
     last_settle: float = 0.0
     move_epoch: int = 0  # invalidates pending boot/migration events
-    trace: bool = field(init=False)  # black-box trace, else a request-tier instance
-
-    def __post_init__(self) -> None:
-        self.trace = isinstance(self.workload, BlackBoxTrace)
 
     @property
     def end_kind(self) -> str:
@@ -238,7 +243,6 @@ class SimulationState:
         self.lifecycle: list[LifecycleEntry] = []
         # (snapshot, flavor) -> server id or None
         self.placement_fn = placement_fn
-        self.optimizer_epoch = 0
 
     # -- scheduling ----------------------------------------------------------
 
@@ -279,30 +283,30 @@ class SimulationState:
 
     # -- work settlement ----------------------------------------------------------
 
-    def advance_host(self, server_id: str, now: float) -> None:
+    def advance_host(self, server_id: str) -> None:
         """Settle in-progress segment work on a host up to ``now``."""
+        now = self.now
         for vm in self.servers[server_id].running:
             dt = now - vm.last_settle
-            if dt > 0 and vm.trace and vm.seg_idx < len(vm.workload.segments):
+            if dt > 0 and vm.app is None:
                 if vm.demand > 0:
                     vm.seg_remaining -= vm.granted_rate * dt
                 else:
                     vm.seg_remaining -= dt
             vm.last_settle = now
 
-    def refresh_host(self, server_id: str, now: float) -> None:
+    def refresh_host(self, server_id: str) -> None:
         """Re-derive demands and granted rates, re-arm the boundary timer,
         re-record the series."""
+        now = self.now
         server = self.servers[server_id]
         running = server.running
         demands = []
         for vm in running:
-            if not vm.trace:
-                vm.demand = self.apps[vm.app_id].instance_demand
-            elif vm.seg_idx < len(vm.workload.segments):
+            if vm.app is None:
                 vm.demand = vm.workload.segments[vm.seg_idx][1]
             else:
-                vm.demand = 0.0
+                vm.demand = vm.app.instance_demand
             demands.append(vm.demand)
         cap = host_capacity(server.spec)
         rates = proportional_share_rates(demands, cap)
@@ -313,7 +317,7 @@ class SimulationState:
         for vm, rate in zip(running, rates):
             vm.granted_rate = rate
             # when the VM's current segment ends at its granted rate
-            if not vm.trace or vm.seg_idx >= len(vm.workload.segments):
+            if vm.app is not None:
                 continue
             remaining = max(vm.seg_remaining, 0.0)
             if vm.demand <= 0:
@@ -347,22 +351,16 @@ class SimulationState:
 
     # -- application demand -----------------------------------------------------
 
-    def serving_instances(self, app: AppRuntime) -> list[VmRuntime]:
-        return [
-            self.vms[vm_id]
-            for vm_id in app.instance_ids
-            if self.vms[vm_id].state in (VmState.RUNNING, VmState.MIGRATING)
-        ]
-
-    def recompute_app_demand(self, app: AppRuntime, now: float) -> None:
+    def recompute_app_demand(self, app: AppRuntime) -> None:
         """Re-split the offered request rate over serving instances.
 
         A fully loaded instance demands ``vcpus`` work-units per second;
         partial load scales linearly and excess load saturates at full
         utilization.
         """
-        serving = self.serving_instances(app)
-        rate = app.offered_rate(now)
+        vms = self.vms
+        serving = [vms[vm_id] for vm_id in app.instance_ids if vms[vm_id].state in EXECUTING]
+        rate = app.offered_rate(self.now)
         if serving:
             share = rate / len(serving)
             demand = min(share / app.load.per_instance_capacity, 1.0) * app.flavor.vcpus
@@ -370,20 +368,18 @@ class SimulationState:
             demand = 0.0
         if demand == app.instance_demand:
             return
-        hosts = sorted({vm.host for vm in serving if vm.host is not None})
+        hosts = sorted({vm.host for vm in serving})
         for host in hosts:
-            self.advance_host(host, now)
+            self.advance_host(host)
         app.instance_demand = demand
         for host in hosts:
-            self.refresh_host(host, now)
+            self.refresh_host(host)
 
-    def record_app_count(self, app: AppRuntime, now: float) -> None:
-        count = len(app.instance_ids)
+    def record_app_count(self, app: AppRuntime) -> None:
         points = app.count_points
-        if points and points[-1][0] == now:
-            points[-1] = (now, count)
-        else:
-            points.append((now, count))
+        if points and points[-1][0] == self.now:
+            points.pop()
+        points.append((self.now, len(app.instance_ids)))
 
     # -- VM lifecycle transitions -----------------------------------------------
 
@@ -393,7 +389,7 @@ class SimulationState:
         flavor: VmFlavor,
         workload: WorkloadModel,
         initiator: Initiator,
-        app_id: str | None = None,
+        app: AppRuntime | None = None,
     ) -> VmRuntime:
         if vm_id in self.vms:
             raise ValueError(f"vm id {vm_id!r} already exists")
@@ -403,7 +399,7 @@ class SimulationState:
             workload=workload,
             initiator=initiator,
             submit_time=self.now,
-            app_id=app_id,
+            app=app,
         )
         self.vms[vm_id] = vm
         self.live_vms[vm_id] = vm
@@ -416,10 +412,9 @@ class SimulationState:
         self._vm_ids_changed(server_id)
         vm.host = server_id
         vm.hosts.append((self.now, server_id))
-        if vm.app_id is not None:
-            app = self.apps[vm.app_id]
-            app.instance_ids.append(vm.id)
-            self.record_app_count(app, self.now)
+        if vm.app is not None:
+            vm.app.instance_ids.append(vm.id)
+            self.record_app_count(vm.app)
 
     def place_vm(self, vm: VmRuntime, server_id: str, boot_delay: float) -> None:
         """Reserve RAM now and schedule the boot completion."""
@@ -431,36 +426,34 @@ class SimulationState:
     def finish_boot(self, vm: VmRuntime) -> None:
         """Start a placed VM running: the one path for run-time and initial VMs."""
         assert vm.host is not None
-        self.advance_host(vm.host, self.now)
+        self.advance_host(vm.host)
         vm.state = VmState.RUNNING
-        self._derive_running(vm.host)
         vm.last_settle = self.now
         vm.start_time = self.now
         self.record_lifecycle(vm, "started", host_id=vm.host)
-        if vm.trace:
+        if vm.app is None:
             if not vm.workload.segments:  # empty trace: nothing to execute
-                self.complete_vm(vm)
+                self.end_vm(vm, VmState.COMPLETED)
                 return
-            vm.seg_idx = 0
             self.init_segment(vm)
-        if vm.app_id is not None:
-            app = self.apps[vm.app_id]
-            self.recompute_app_demand(app, self.now)
-        self.refresh_host(vm.host, self.now)
+        self._derive_running(vm.host)
+        if vm.app is not None:
+            self.recompute_app_demand(vm.app)
+        self.refresh_host(vm.host)
 
     def finish_segment(self, server_id: str, epoch: int, vm_id: str) -> None:
         """Host timer: the VM's segment ends; start its next one or complete it."""
         if epoch != self.servers[server_id].timer_epoch:
             return
         vm = self.vms[vm_id]
-        self.advance_host(server_id, self.now)
+        self.advance_host(server_id)
         vm.seg_remaining = 0.0
         vm.seg_idx += 1
         if vm.seg_idx < len(vm.workload.segments):
             self.init_segment(vm)
-            self.refresh_host(server_id, self.now)
+            self.refresh_host(server_id)
         else:
-            self.complete_vm(vm)
+            self.end_vm(vm, VmState.COMPLETED)
             self.log("complete", vm_id, "ran to completion")
 
     def start_migration(self, vm: VmRuntime, target_id: str) -> None:
@@ -481,8 +474,8 @@ class SimulationState:
             return
         source, target = vm.host, vm.migration_target
         assert source is not None and target is not None
-        self.advance_host(source, self.now)
-        self.advance_host(target, self.now)
+        self.advance_host(source)
+        self.advance_host(target)
         self.servers[source].vm_ids.remove(vm.id)
         self._vm_ids_changed(source)
         vm.host = target
@@ -491,16 +484,16 @@ class SimulationState:
         self._derive_running(target)
         vm.hosts.append((self.now, target))
         self.record_lifecycle(vm, "migrated", host_id=target)
-        self.refresh_host(source, self.now)
-        self.refresh_host(target, self.now)
+        self.refresh_host(source)
+        self.refresh_host(target)
 
     def finish_power_transition(self, server_id: str) -> None:
         """Power timer: the server reaches its pending power state."""
         server = self.servers[server_id]
-        self.advance_host(server_id, self.now)
+        self.advance_host(server_id)
         server.power_state = server.pending_power
         server.pending_power = None
-        self.refresh_host(server_id, self.now)
+        self.refresh_host(server_id)
 
     def reject_vm(self, vm: VmRuntime) -> None:
         """End a never-placed VM whose placement found no server."""
@@ -508,17 +501,13 @@ class SimulationState:
         del self.live_vms[vm.id]
         vm.end_time = self.now
 
-    def complete_vm(self, vm: VmRuntime) -> None:
-        self._release_vm(vm, VmState.COMPLETED)
-
-    def terminate_vm(self, vm: VmRuntime) -> None:
-        self._release_vm(vm, VmState.TERMINATED)
-
-    def _release_vm(self, vm: VmRuntime, final_state: VmState) -> None:
+    def end_vm(self, vm: VmRuntime, final_state: VmState) -> None:
+        """End a placed VM, completed or terminated: release its hosts and
+        its place in its tier."""
         vm.move_epoch += 1
         touched = [h for h in (vm.host, vm.migration_target) if h is not None]
         for host in touched:
-            self.advance_host(host, self.now)
+            self.advance_host(host)
             self.servers[host].vm_ids.remove(vm.id)
             self._vm_ids_changed(host)
         vm.host = None
@@ -527,13 +516,13 @@ class SimulationState:
         del self.live_vms[vm.id]
         vm.end_time = self.now
         self.record_lifecycle(vm, final_state.value)
-        app = self.apps.get(vm.app_id or "")
+        app = vm.app
         if app is not None and vm.id in app.instance_ids:
             app.instance_ids.remove(vm.id)
-            self.record_app_count(app, self.now)
-            self.recompute_app_demand(app, self.now)
+            self.record_app_count(app)
+            self.recompute_app_demand(app)
         for host in touched:
-            self.refresh_host(host, self.now)
+            self.refresh_host(host)
 
     def _vm_ids_changed(self, server_id: str) -> None:
         """Re-derive a host's free RAM and executing VMs after its ``vm_ids``
@@ -557,5 +546,5 @@ class SimulationState:
         server.running = [
             vm
             for vm in (self.vms[v] for v in server.vm_ids)
-            if vm.host == server_id and vm.state in (VmState.RUNNING, VmState.MIGRATING)
+            if vm.host == server_id and vm.state in EXECUTING
         ]

@@ -86,7 +86,7 @@ def make_harness(model, config=None, placement="best-fit-ram",
     )
     engine._install_initial_vms()
     for server_id in engine.sim.servers:
-        engine.sim.refresh_host(server_id, 0.0)
+        engine.sim.refresh_host(server_id)
     return engine
 
 

@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 from dcsim.algorithms import (
     AlgorithmConfig,
     Migrate,
-    NoChange,
     PowerOff,
     PowerOn,
     ReactConfig,
     RegConfig,
-    ScaleInInstances,
-    ScaleOutBy,
     gen_seasonal_workload,
     manage_power,
     optimize_consolidation,
@@ -23,7 +20,7 @@ from dcsim.algorithms import (
     react_decide,
     reg_decide,
 )
-from dcsim.correspondence import RuntimeModelSnapshot, ServerView, VmView
+from dcsim.correspondence import RuntimeModelSnapshot, ScaleIn, ScaleOut, ServerView, VmView
 from dcsim.model import POWER_OFF, POWER_ON, VmFlavor, VmState
 
 
@@ -226,20 +223,20 @@ INSTANCES_4 = ("app-i0001", "app-i0002", "app-i0003", "app-i0004")
 
 class TestReact:
     def test_scale_out_on_overload(self):
-        decision = react_decide(50.0, INSTANCES_4, 12.0, ReactConfig())
-        assert decision == ScaleOutBy(1)
+        decision = react_decide("app", 50.0, INSTANCES_4, 12.0, ReactConfig())
+        assert decision == [ScaleOut("app")]
 
     def test_scale_in_when_underutilized(self):
-        decision = react_decide(10.0, INSTANCES_4, 12.0, ReactConfig())
-        assert decision == ScaleInInstances(("app-i0004",))
+        decision = react_decide("app", 10.0, INSTANCES_4, 12.0, ReactConfig())
+        assert decision == [ScaleIn("app", "app-i0004")]
 
     def test_dead_band(self):
-        decision = react_decide(40.0, INSTANCES_4, 12.0, ReactConfig())
-        assert decision == NoChange()
+        decision = react_decide("app", 40.0, INSTANCES_4, 12.0, ReactConfig())
+        assert decision == []
 
     def test_never_empties_pool(self):
-        decision = react_decide(0.0, ("only",), 12.0, ReactConfig())
-        assert decision == NoChange()
+        decision = react_decide("app", 0.0, ("only",), 12.0, ReactConfig())
+        assert decision == []
 
     @given(
         st.floats(0, 500),
@@ -255,8 +252,8 @@ class TestReact:
                > 1e-6 * max(rate, 1.0))
         assume(abs(rate / n / capacity - config.lower_utilization) > 1e-6)
         ids = tuple(f"i{k:03d}" for k in range(n))
-        base = react_decide(rate, ids, capacity, config)
-        scaled = react_decide(rate * factor, ids, capacity * factor, config)
+        base = react_decide("app", rate, ids, capacity, config)
+        scaled = react_decide("app", rate * factor, ids, capacity * factor, config)
         assert base == scaled
 
     def test_threshold_validation(self):
@@ -270,32 +267,30 @@ class TestReg:
     def test_flat_history_scales_in_to_requirement(self):
         ids = tuple(f"i{k:02d}" for k in range(10))
         history = [(float(t), 50.0) for t in range(10)]
-        decision = reg_decide(50.0, ids, 12.0, history, RegConfig(), horizon=1.0)
-        assert isinstance(decision, ScaleInInstances)
+        decision = reg_decide("app", 50.0, ids, 12.0, history, RegConfig(), horizon=1.0)
         # ceil(50 / 12) = 5 instances should remain
-        assert len(decision.instance_ids) == 5
-        assert set(decision.instance_ids) == {"i09", "i08", "i07", "i06", "i05"}
+        assert decision == [ScaleIn("app", i) for i in ("i09", "i08", "i07", "i06", "i05")]
 
     def test_rising_history_scales_out_with_prediction(self):
         history = [(0.0, 10.0), (1.0, 20.0), (2.0, 30.0), (3.0, 40.0), (4.0, 50.0)]
-        decision = reg_decide(50.0, INSTANCES_4, 12.0, history, RegConfig(), horizon=1.0)
+        decision = reg_decide("app", 50.0, INSTANCES_4, 12.0, history, RegConfig(), horizon=1.0)
         # current 50 > 4 * 12 * 0.9 = 43.2; OLS predicts 60 -> ceil(60/12) = 5
-        assert decision == ScaleOutBy(1)
+        assert decision == [ScaleOut("app")]
 
     def test_dead_band(self):
         history = [(0.0, 30.0), (1.0, 30.0)]
-        decision = reg_decide(30.0, INSTANCES_4, 12.0, history, RegConfig(), horizon=1.0)
-        assert decision == NoChange()
+        decision = reg_decide("app", 30.0, INSTANCES_4, 12.0, history, RegConfig(), horizon=1.0)
+        assert decision == []
 
     def test_short_history_padded(self):
-        decision = reg_decide(100.0, INSTANCES_4, 12.0, [], RegConfig(), horizon=1.0)
+        decision = reg_decide("app", 100.0, INSTANCES_4, 12.0, [], RegConfig(), horizon=1.0)
         # padded flat at 100: predicted 100 -> required 9 -> out by 5
-        assert decision == ScaleOutBy(5)
+        assert decision == [ScaleOut("app")] * 5
 
     def test_never_empties_pool(self):
         history = [(float(t), 0.0) for t in range(10)]
-        decision = reg_decide(0.0, ("a", "b"), 12.0, history, RegConfig(), horizon=1.0)
-        assert decision == ScaleInInstances(("b",))
+        decision = reg_decide("app", 0.0, ("a", "b"), 12.0, history, RegConfig(), horizon=1.0)
+        assert decision == [ScaleIn("app", "b")]
 
     def test_window_validation(self):
         with pytest.raises(ValueError):

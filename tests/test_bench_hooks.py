@@ -1,0 +1,82 @@
+"""The benchmark's span hooks still reach the program.
+
+``bench/spans.instrument`` wraps program functions where their callers look
+them up by name. A rename or a changed call path in ``src`` would leave a
+wrapper that is never called; this test fails on that, instead of only a
+traced benchmark run (``bench/run.py --trace 1``) showing a zero count.
+"""
+
+from __future__ import annotations
+
+import os
+
+import pytest
+
+import dcsim.algorithms as algorithms_mod
+import dcsim.correspondence as corr_mod
+import dcsim.engine as engine_mod
+import dcsim.extraction as extraction_mod
+import dcsim.model as model_mod
+import dcsim.scenario as scenario_mod
+import dcsim.state as state_mod
+from dcsim.report import write_report
+from tests.test_engine import _all_feature_engine
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+#: Every span and count that ``instrument`` records through a wrapper.
+#: ``algorithms.autoscaler`` appears only while the engine calls
+#: ``react_decide`` and ``reg_decide`` by their module-global names.
+WRAPPED = (
+    "model.validate", "model.rate_at", "scenario.check", "state.events_scheduled",
+    "state.refresh_host", "state.advance_host", "state.recompute_app_demand",
+    "state.server_utilization", "engine.sample_measurements",
+    "correspondence.sync_measurements", "correspondence.enact", "algorithms.placement",
+    "algorithms.optimizer", "algorithms.manage_power", "algorithms.autoscaler",
+    "extraction.entity_samples", "extraction.host_at",
+    "extraction.extract_blackbox_workload",
+)
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    import spans
+
+    return spans
+
+
+def _bindings() -> dict:
+    """Every name the hooks may rebind, with what it is bound to."""
+    owners = (algorithms_mod, corr_mod, engine_mod, extraction_mod, model_mod, scenario_mod,
+              state_mod, state_mod.SimulationState, model_mod.OpenRequestLoad,
+              extraction_mod.MeasurementStore, algorithms_mod.PLACEMENT_FUNCTIONS,
+              algorithms_mod.OPTIMIZER_FUNCTIONS)
+    return {
+        (id(owner), name): value
+        for owner in owners
+        for name, value in (owner if isinstance(owner, dict) else vars(owner)).items()
+    }
+
+
+def test_every_hook_is_called_and_restored(spans, tmp_path):
+    before = _bindings()
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        engine = _all_feature_engine()
+        report = engine.run()
+        out = str(tmp_path / "report")
+        write_report(report, out)
+        store = extraction_mod.ingest_measurements(
+            os.path.join(out, "metrics.csv"), os.path.join(out, "lifecycle.csv")
+        )
+        result = extraction_mod.extract_scenario(
+            store, window=(0.0, engine.config.end_time), servers=None,
+            exclude_autoscaler=False, infrastructure=engine.model,
+        )
+    assert result.extracted_vm_ids
+    calls = tracer.calls()
+    assert [name for name in WRAPPED if not calls[name]] == []
+    assert [kind for kind in spans.EVENT_KINDS if not calls[f"state.events_popped.{kind}"]] == []
+    after = _bindings()
+    assert {key: value for key, value in after.items() if key in before} == before

@@ -10,6 +10,7 @@ import pytest
 from dcsim.cli import main, relative_error
 from dcsim.model import (
     BlackBoxTrace,
+    ModelFormatError,
     VmFlavor,
     VmInstance,
     VmState,
@@ -46,6 +47,11 @@ def inputs(tmp_path):
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(serialize_scenario(start_stop_scenario()))
     return tmp_path, str(model_path), str(scenario_path)
+
+
+#: An initial VM as the model file holds it.
+VM_V1 = {"id": "v1", "flavor": {"vcpus": 1, "ram": 1024.0},
+         "workload": {"kind": "blackbox_trace", "segments": [[100.0, 1.0]]}, "host": "s1"}
 
 
 def simulate_args(model, scenario, out, **extra):
@@ -109,6 +115,46 @@ class TestSimulate:
         ("scenario", ("events", 1, "trigger", "offset"), math.inf, "event 'e2'"),
         ("scenario", ("events", 0, "request", "flavor_override"),
          {"vcpus": 1, "ram": math.nan}, "event 'e1'"),
+        ("model", ("servers", 0, "cores"), True, "server s1: cores must be a number, got True"),
+        ("model", ("servers", 0, "idle_off_power"), False, "server s1: idle_off_power must be"),
+        ("model", ("power_models", "pm", "coefficients", 0), True,
+         "power model pm: coefficients must be numbers"),
+        ("model", ("initial_vms",), [dict(VM_V1, flavor={"vcpus": True, "ram": 1024.0})],
+         "vm v1: flavor: vcpus must be a number"),
+        ("model", ("initial_vms",),
+         [dict(VM_V1, workload={"kind": "blackbox_trace", "segments": [[100.0, False]]})],
+         "vm v1: workload: segments must hold numbers"),
+        ("scenario", ("templates", "tpl", "flavor", "vcpus"), True, "template 'tpl'"),
+        ("scenario", ("templates", "tpl", "flavor", "ram"), True, "template 'tpl'"),
+        ("scenario", ("templates", "tpl", "workload", "segments", 0), [True, 1.0],
+         "template 'tpl'"),
+        ("scenario", ("templates", "tpl", "workload"),
+         {"kind": "open_request_load", "series": [[0.0, True]], "per_instance_capacity": 10.0},
+         "template 'tpl': workload: series must hold numbers"),
+        ("scenario", ("templates", "tpl", "workload"),
+         {"kind": "open_request_load", "series": [[0.0, 5.0]], "per_instance_capacity": True},
+         "template 'tpl': workload: per_instance_capacity must be a number"),
+        ("scenario", ("events", 0, "trigger", "time"), True, "event 'e1'"),
+        ("scenario", ("events", 1, "trigger", "offset"), False, "event 'e2'"),
+        ("scenario", ("events", 0, "request", "flavor_override"),
+         {"vcpus": True, "ram": 1024.0}, "event 'e1'"),
+        ("scenario", ("events", 0, "request"),
+         {"type": "change_optimisation_interval", "interval": True},
+         "event 'e1': request: interval must be a number"),
+        ("model", ("servers", 1, "id"), "s1", "duplicate server id s1"),
+        ("model", ("initial_vms",), [VM_V1, VM_V1], "duplicate vm id v1"),
+        ("model", ("initial_vms",), [dict(VM_V1, host="s9")],
+         "initial vm v1 placed on unknown server s9"),
+        ("model", ("initial_power_states",), {"s1": "standby"},
+         "initial power state for s1 must be on/off"),
+        ("model", ("servers", 0, "cores"), 0, "server s1: cores must be >= 1"),
+        ("model", ("servers", 0, "idle_off_power"), -1.0,
+         "server s1: idle_off_power must be finite and >= 0"),
+        ("scenario", ("events", 1, "request", "target"), "e2",
+         "stop event 'e2' target 'e2' is not a start event"),
+        ("scenario", ("events", 0, "request"),
+         {"type": "change_optimisation_interval", "interval": 0.0},
+         "event 'e1' interval must be finite and > 0"),
     ])
     def test_malformed_value_names_entity(self, inputs, capsys, document, path, value,
                                           entity):
@@ -124,7 +170,11 @@ class TestSimulate:
         with open(target, "w") as fh:
             fh.write(text)
         if document == "model":
-            assert any(entity in problem for problem in validate(parse_model(text)))
+            try:
+                problems = validate(parse_model(text))
+            except ModelFormatError as exc:  # a bool is refused as it loads
+                problems = [str(exc)]
+            assert any(entity in problem for problem in problems)
         else:
             with pytest.raises(ScenarioError, match=entity):
                 parse_scenario(text)
@@ -169,6 +219,7 @@ class TestSimulate:
         (("request", "vm_id"), None, "missing key 'vm_id'"),
         (("trigger", "time"), "soon", "could not convert"),
         (("request", "type"), "reboot", "unknown request type 'reboot'"),
+        (("trigger", "type"), "later", "unknown trigger type 'later'"),
     ])
     def test_malformed_event_names_event(self, inputs, capsys, path, value, message):
         tmp_path, model, scenario = inputs
@@ -431,13 +482,14 @@ class TestCompare:
     ("compare", {"sim": {"bogus": 1}}, "'bogus'"),
     ("compare", {"sim": {"end_time": "100"}}, "end_time must be finite and > 0, got '100'"),
     ("compare", {"sim": {"end_time": True}}, "end_time must be a number, got True"),
+    ("compare", {"sim": {"end_time": 5400.0, "seed": 5}}, "sim: seed is set by --seed"),
     ("compare", {"model": None}, "missing key 'model'"),
     ("compare", {"scenario": None}, "missing key 'scenario'"),
 ], ids=["algo-unknown-key", "algo-unknown-react-key", "algo-fractional-spares",
         "algo-fractional-reg-window", "algo-string-power-manager", "algo-bool-spares",
         "algo-null-optimizer", "compare-unknown-key", "compare-unknown-react-key",
         "compare-fractional-spares", "compare-unknown-sim-key", "compare-string-end-time",
-        "compare-bool-end-time", "compare-no-model", "compare-no-scenario"])
+        "compare-bool-end-time", "compare-sim-seed", "compare-no-model", "compare-no-scenario"])
 def test_malformed_config_names_file(inputs, capsys, command, config, message):
     """A config file that the simulator cannot run exits 2 and names the
     file; a ``None`` value drops that key from a compare config."""

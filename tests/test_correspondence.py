@@ -113,7 +113,7 @@ class TestSync:
                                config=SimConfig(end_time=1e9, boot_latency=30.0))
         sim = harness.sim
         assert enact(Migrate("mover", "s1", "s2"), sim) is None
-        sim.terminate_vm(sim.vms["gone"])
+        sim.end_vm(sim.vms["gone"], VmState.TERMINATED)
         add_pending_vm(harness, "booting", 1024)
         assert enact(Place("booting", "s2"), sim) is None
         add_pending_vm(harness, "admitting", 1024)

@@ -226,6 +226,13 @@ def test_sim_config_rejects_non_finite(name, value):
         SimConfig(**{"end_time": 100.0, name: value})
 
 
+@pytest.mark.parametrize("seed", ["x", 1.5, None])
+def test_sim_config_rejects_non_integer_seed(seed):
+    # a seed is echoed into report.json; only an int seeds a run
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SimConfig(end_time=100.0, seed=seed)
+
+
 def initial_trace_vm(vm_id, segments, host="s1"):
     return VmInstance(vm_id, VmFlavor(1, 1024.0), BlackBoxTrace(tuple(segments)),
                       host=host, state=VmState.RUNNING)
@@ -361,16 +368,14 @@ def _executing(sim, server_id):
     ]
 
 
-def _demand(sim, vm):
-    """What a VM asks of its host now: its current trace segment's demand
-    (0 past the last), its tier's per-instance demand, or 0 unless it is
-    executing."""
+def _demand(vm):
+    """What a VM asks of its host now: its current trace segment's demand,
+    its tier's per-instance demand, or 0 unless it is executing."""
     if vm.state not in (VmState.RUNNING, VmState.MIGRATING):
         return 0.0
     if isinstance(vm.workload, BlackBoxTrace):
-        segments = vm.workload.segments
-        return segments[vm.seg_idx][1] if vm.seg_idx < len(segments) else 0.0
-    return sim.apps[vm.app_id].instance_demand
+        return vm.workload.segments[vm.seg_idx][1]
+    return vm.app.instance_demand
 
 
 def test_host_load_matches_recomputation_after_every_event():
@@ -386,7 +391,7 @@ def test_host_load_matches_recomputation_after_every_event():
         for server_id, server in sim.servers.items():
             if server.power_state == POWER_ON:
                 cap = host_capacity(server.spec)
-                demand = sum(_demand(sim, vm) for vm in _executing(sim, server_id))
+                demand = sum(_demand(vm) for vm in _executing(sim, server_id))
                 util = min(demand, cap) / cap
                 pm = sim.model.power_models[server.spec.power_model_id]
                 watts = eval_power(pm, util)
@@ -425,14 +430,14 @@ def test_kept_view_free_ram_and_live_index_match_a_rebuild_after_every_event():
             assert [vm.id for vm in server.running] == [vm.id for vm in executing], (
                 kind, server_id)
             for vm in executing:
-                assert vm.demand == _demand(sim, vm), (kind, vm.id)
+                assert vm.demand == _demand(vm), (kind, vm.id)
             servers.append(ServerView(
                 server_id, server.spec.cores, server.spec.core_speed,
                 server.spec.ram_capacity, POWER_ON if server.usable() else POWER_OFF,
                 sim.server_utilization(server_id), server.spec.ram_capacity - used,
             ))
             vms += [
-                VmView(vm.id, vm.flavor, server_id, vm.state, _demand(sim, vm))
+                VmView(vm.id, vm.flavor, server_id, vm.state, _demand(vm))
                 for vm in (sim.vms[vm_id] for vm_id in server.vm_ids)
                 if vm.host == server_id
             ]

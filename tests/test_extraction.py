@@ -102,6 +102,24 @@ class TestIngest:
         with pytest.raises(IngestError, match="after terminal"):
             ingest_measurements(str(metrics), str(events))
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0,v,submitted,,1,1024,tenant\n1,v,submitted,,1,1024,tenant\n",
+         "vm v: duplicate submitted event"),
+        ("0,v,submitted,,1,1024,tenant\n1,v,started,s1,1,1024,tenant\n"
+         "2,v,started,s1,1,1024,tenant\n", "vm v: duplicate started event"),
+        ("0,v,submitted,,1,1024,tenant\n1,v,migrated,s2,1,1024,tenant\n",
+         "vm v: migrated before started"),
+        ("0,v,completed,,1,1024,tenant\n", "vm v: completed before submitted"),
+    ], ids=["duplicate-submitted", "duplicate-started", "migrated-before-started",
+            "terminal-before-submitted"])
+    def test_lifecycle_order_error_names_vm(self, tmp_path, rows, message):
+        metrics = tmp_path / "m.csv"
+        metrics.write_text(METRIC_HEADER)
+        events = tmp_path / "e.csv"
+        events.write_text(LIFECYCLE_HEADER + rows)
+        with pytest.raises(IngestError, match=message):
+            ingest_measurements(str(metrics), str(events))
+
     def test_wrong_header(self, tmp_path):
         metrics = tmp_path / "m.csv"
         metrics.write_text("time,kind,id,metric,value\n")
@@ -139,9 +157,12 @@ class TestIngest:
         ("", "0,v,submitted,,-2,-1024,tenant\n", "e.csv line 2: flavor vcpus must be >= 1, "
          "got -2; flavor ram must be finite and > 0 MiB, got -1024.0$"),
         ("", "0,v,submitted,,1,0,tenant\n", "e.csv line 2: flavor ram must be finite and > 0"),
+        ("", "0,v,born,,1,1024,tenant\n", "e.csv line 2: unknown lifecycle event 'born'"),
+        ("", "0,v,submitted,,1,1024,robot\n", "e.csv line 2: unknown initiator 'robot'"),
     ], ids=["metric-short", "metric-long", "lifecycle-short", "lifecycle-long",
             "metric-after-blank-lines", "lifecycle-after-blank-lines",
-            "lifecycle-negative-flavor", "lifecycle-zero-ram"])
+            "lifecycle-negative-flavor", "lifecycle-zero-ram", "lifecycle-unknown-event",
+            "lifecycle-unknown-initiator"])
     def test_bad_row_names_file_and_physical_line(
         self, tmp_path, metric_rows, lifecycle_rows, where
     ):
