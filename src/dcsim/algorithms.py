@@ -28,7 +28,7 @@ from .correspondence import (
     ScaleOut,
     ServerView,
 )
-from .model import POWER_ON, VmFlavor, VmState, reject_bool_numbers
+from .model import POWER_ON, VmFlavor, VmState, check_scalars
 
 PLACEMENT_ALGORITHMS = ("best-fit-ram", "worst-fit-ram")
 OPTIMIZER_ALGORITHMS = ("consolidation", "load-balance", "none")
@@ -41,7 +41,7 @@ class ReactConfig:
     lower_utilization: float = 0.3  # instances below this are under-utilized
 
     def __post_init__(self):
-        reject_bool_numbers(self)
+        check_scalars(self)
         if not 0 < self.upper_utilization <= 1:
             raise ValueError("upper_utilization must be in (0, 1]")
         if not 0 < self.lower_utilization <= 1:
@@ -57,8 +57,8 @@ class RegConfig:
     lower_threshold: float = 0.5
 
     def __post_init__(self):
-        reject_bool_numbers(self)
-        if not isinstance(self.window, int) or self.window < 2:
+        check_scalars(self)
+        if self.window < 2:
             raise ValueError(f"window must be an integer >= 2, got {self.window!r}")
         if not 0 < self.upper_threshold <= 1:
             raise ValueError("upper_threshold must be in (0, 1]")
@@ -80,18 +80,14 @@ class AlgorithmConfig:
     imbalance_threshold: float = 1024.0  # MiB gap that triggers a balancing move
 
     def __post_init__(self):
-        reject_bool_numbers(self)
+        check_scalars(self)
         if self.placement not in PLACEMENT_ALGORITHMS:
             raise ValueError(f"unknown placement algorithm {self.placement!r}")
         if self.optimizer not in OPTIMIZER_ALGORITHMS:
             raise ValueError(f"unknown optimizer algorithm {self.optimizer!r}")
         if self.autoscaler not in AUTOSCALER_ALGORITHMS:
             raise ValueError(f"unknown autoscaler algorithm {self.autoscaler!r}")
-        if not isinstance(self.power_manager_enabled, bool):
-            raise ValueError(
-                f"power_manager_enabled must be true or false, got {self.power_manager_enabled!r}"
-            )
-        if not isinstance(self.spare_servers, int) or self.spare_servers < 0:
+        if self.spare_servers < 0:
             raise ValueError(f"spare_servers must be an integer >= 0, got {self.spare_servers!r}")
         if not math.isfinite(self.imbalance_threshold):
             raise ValueError("imbalance_threshold must be finite")

@@ -2,11 +2,15 @@
 
 Subcommands: simulate, extract, fit-power, compare, report-error. Exit
 codes are stable for scripting: 0 success, 2 input or validation error, 1
-internal error. Every command checks its inputs with the simulator's own
-checks, so a model, scenario or trace that one command accepts, the
-simulator can run. All randomness flows from --seed; no run reads the
-clock or the environment for entropy. Set DCSIM_LOG to a logging level
-name for diagnostics.
+internal error. An input error is a ``ValueError`` (every input error
+class of the package is one) or an ``OSError``, such as a path that cannot
+be read or written. Every command checks its inputs with the simulator's
+own checks, so a model, scenario or trace that one command accepts, the
+simulator can run. A ``simulate`` flag sets the ``SimConfig`` or
+``AlgorithmConfig`` field of its name; a flag left out keeps the
+dataclass default, and ``--algo-config`` overrides the flags. All
+randomness flows from --seed; no run reads the clock or the environment
+for entropy. Set DCSIM_LOG to a logging level name for diagnostics.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import fields
 
 from . import engine as engine_mod
 from . import report as report_mod
@@ -27,32 +32,25 @@ from .algorithms import (
     AlgorithmConfig,
 )
 from .extraction import (
-    IngestError,
     MeasurementStore,
-    UnderdeterminedError,
     clean_power_training_data,
     extract_scenario,
     fit_power_model,
     ingest_measurements,
 )
 from .model import (
+    MALFORMED,
     POLYNOMIAL,
     POLYNOMIAL_PLUS_EXPONENTIAL,
-    ModelFormatError,
-    _reject_unknown,
     load_model,
+    malformed,
     power_model_to_dict,
+    reject_unknown,
     validate,
     workload_to_dict,
     write_json,
 )
-from .scenario import (
-    _MALFORMED,
-    ScenarioError,
-    _malformed,
-    load_scenario,
-    scenario_to_dict,
-)
+from .scenario import load_scenario, scenario_to_dict
 
 log = logging.getLogger("dcsim.cli")
 
@@ -83,46 +81,33 @@ def _read_config(path: str, build):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return build(json.load(fh))
-        except _MALFORMED as exc:
-            raise _malformed(path, exc) from exc
+        except MALFORMED as exc:
+            raise malformed(path, exc) from exc
+
+
+def _given(args, config) -> dict:
+    """The flags in ``args`` that were given and name a field of the
+    dataclass ``config``; a flag that was not given takes the field's
+    default."""
+    given = vars(args)
+    return {f.name: given[f.name] for f in fields(config) if f.name in given}
 
 
 def _algorithm_config(args) -> AlgorithmConfig:
-    base = {
-        "placement": args.placement,
-        "optimizer": args.optimizer,
-        "autoscaler": args.autoscaler,
-        "power_manager_enabled": args.power_manager,
-        "spare_servers": args.spare_servers,
-        "imbalance_threshold": args.imbalance_threshold,
-    }
-    if args.algo_config:
+    flags = _given(args, AlgorithmConfig)
+    if "algo_config" in args:
         return _read_config(
             args.algo_config,
-            lambda overrides: AlgorithmConfig.from_dict({**base, **overrides}),
+            lambda overrides: AlgorithmConfig.from_dict({**flags, **overrides}),
         )
-    return AlgorithmConfig.from_dict(base)
-
-
-def _sim_config(args) -> engine_mod.SimConfig:
-    return engine_mod.SimConfig(
-        end_time=args.end,
-        measurement_interval=args.measurement_interval,
-        optimizer_interval=args.optimizer_interval,
-        autoscaler_interval=args.autoscaler_interval,
-        boot_latency=args.boot_latency,
-        placement_decision_latency=args.placement_latency,
-        migration_bandwidth=args.migration_bandwidth,
-        power_transition_latency=args.power_transition_latency,
-        seed=args.seed,
-    )
+    return AlgorithmConfig.from_dict(flags)
 
 
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
     scenario = load_scenario(args.scenario, known_vm_ids=[vm.id for vm in model.initial_vms])
     algorithms = _algorithm_config(args)
-    config = _sim_config(args)
+    config = engine_mod.SimConfig(**_given(args, engine_mod.SimConfig))
     report = engine_mod.run(model, scenario, algorithms, config)
     report_mod.write_report(report, args.out)
     print(
@@ -215,7 +200,7 @@ def _compare_run(cfg: dict, path: str, seed: int) -> dict:
     """One ``compare`` configuration; relative model and scenario paths are
     resolved against the directory of the file at ``path``. ``--seed`` is the
     one seed of every configuration, so ``sim`` may not hold one."""
-    _reject_unknown(cfg, _COMPARE_KEYS, "compare config")
+    reject_unknown(cfg, _COMPARE_KEYS, "compare config")
     sim = cfg.get("sim", {})
     if "seed" in sim:
         raise ValueError("sim: seed is set by --seed for every config")
@@ -306,25 +291,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run a scenario against a data center model")
+    # A flag that is not given is left out of ``args``, and its config
+    # field keeps its dataclass default.
+    sim = sub.add_parser("simulate", help="run a scenario against a data center model",
+                         argument_default=argparse.SUPPRESS)
     sim.add_argument("--model", required=True)
     sim.add_argument("--scenario", required=True)
     sim.add_argument("--out", required=True, help="output directory for report files")
-    sim.add_argument("--end", type=float, required=True, help="simulation horizon in seconds")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--placement", choices=PLACEMENT_ALGORITHMS, default="best-fit-ram")
-    sim.add_argument("--optimizer", choices=OPTIMIZER_ALGORITHMS, default="none")
-    sim.add_argument("--autoscaler", choices=AUTOSCALER_ALGORITHMS, default="none")
-    sim.add_argument("--power-manager", action="store_true")
-    sim.add_argument("--spare-servers", type=int, default=0)
-    sim.add_argument("--imbalance-threshold", type=float, default=1024.0)
-    sim.add_argument("--measurement-interval", type=float, default=30.0)
-    sim.add_argument("--optimizer-interval", type=float, default=300.0)
-    sim.add_argument("--autoscaler-interval", type=float, default=60.0)
-    sim.add_argument("--boot-latency", type=float, default=0.0)
-    sim.add_argument("--placement-latency", type=float, default=0.0)
-    sim.add_argument("--migration-bandwidth", type=float, default=1024.0)
-    sim.add_argument("--power-transition-latency", type=float, default=0.0)
+    sim.add_argument("--end", dest="end_time", type=float, required=True,
+                     help="simulation horizon in seconds")
+    sim.add_argument("--seed", type=int)
+    sim.add_argument("--placement", choices=PLACEMENT_ALGORITHMS)
+    sim.add_argument("--optimizer", choices=OPTIMIZER_ALGORITHMS)
+    sim.add_argument("--autoscaler", choices=AUTOSCALER_ALGORITHMS)
+    sim.add_argument("--power-manager", dest="power_manager_enabled", action="store_true")
+    sim.add_argument("--spare-servers", type=int)
+    sim.add_argument("--imbalance-threshold", type=float)
+    sim.add_argument("--measurement-interval", type=float)
+    sim.add_argument("--optimizer-interval", type=float)
+    sim.add_argument("--autoscaler-interval", type=float)
+    sim.add_argument("--boot-latency", type=float)
+    sim.add_argument("--placement-latency", dest="placement_decision_latency", type=float)
+    sim.add_argument("--migration-bandwidth", type=float)
+    sim.add_argument("--power-transition-latency", type=float)
     sim.add_argument("--algo-config", help="JSON file overriding the algorithm config")
     sim.set_defaults(func=cmd_simulate)
 
@@ -373,14 +362,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ModelFormatError,
-        ScenarioError,
-        IngestError,
-        UnderdeterminedError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

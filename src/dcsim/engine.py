@@ -28,8 +28,8 @@ from .model import (
     Initiator,
     OpenRequestLoad,
     VmState,
+    check_scalars,
     host_capacity,
-    reject_bool_numbers,
     validate,
 )
 from .scenario import (
@@ -89,17 +89,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        reject_bool_numbers(self)
-        if not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        check_scalars(self)
         for name in ("end_time", "measurement_interval", "optimizer_interval",
                      "autoscaler_interval", "migration_bandwidth"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+            if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         for name in ("boot_latency", "placement_decision_latency", "power_transition_latency"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0 <= value < math.inf):
+            if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 

@@ -61,7 +61,8 @@ class NoBehaviorModel(Exception):
 
 @dataclass
 class MeasurementStore:
-    """Historical monitoring data: metric samples plus VM lifecycle records.
+    """Historical monitoring data: metric samples plus VM lifecycle records,
+    held in the order they were given.
 
     The queries answer from an index that the first query builds: the
     samples of each ``(entity kind, entity id, metric)`` series and the
@@ -179,7 +180,8 @@ def ingest_measurements(
     """Read monitoring CSVs into a store, validating row syntax and per-VM
     lifecycle ordering; errors carry the offending file line or VM. Power
     model training needs no lifecycle, so that file may be omitted. Every
-    row must have exactly the header's fields; empty lines are skipped."""
+    row must have exactly the header's fields; empty lines are skipped. The
+    store keeps the rows in file order, and its index orders them by time."""
     metrics = []
     append = metrics.append
     with open(metric_file, "r", newline="", encoding="utf-8") as fh:
@@ -222,8 +224,6 @@ def ingest_measurements(
                     width = len(LIFECYCLE_COLUMNS)
                     raise _row_error(lifecycle_file, reader, row, width, exc) from exc
 
-    metrics.sort(key=_by_time)
-    lifecycle.sort(key=_by_time)
     store = MeasurementStore(metrics=metrics, lifecycle=lifecycle)
     _check_lifecycle_order(store)
     return store

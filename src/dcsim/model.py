@@ -28,9 +28,6 @@ class VmState(str, Enum):
     REJECTED = "rejected"  # no server could take it; never placed
 
 
-#: States in which a VM occupies a host.
-HOSTED_STATES = frozenset({VmState.BOOTING, VmState.RUNNING, VmState.MIGRATING})
-
 #: Terminal states; no transition leaves them.
 TERMINAL_STATES = frozenset({VmState.COMPLETED, VmState.TERMINATED, VmState.REJECTED})
 
@@ -239,13 +236,7 @@ class VmInstance:
     initiator: Initiator = Initiator.TENANT
 
     def check(self) -> list[str]:
-        errs = [f"vm {self.id}: {e}" for e in self.flavor.check() + self.workload.check()]
-        hosted = self.state in HOSTED_STATES
-        if hosted and self.host is None:
-            errs.append(f"vm {self.id}: state {self.state.value} requires a host")
-        if not hosted and self.host is not None:
-            errs.append(f"vm {self.id}: state {self.state.value} must not have a host")
-        return errs
+        return [f"vm {self.id}: {e}" for e in self.flavor.check() + self.workload.check()]
 
 
 @dataclass(frozen=True)
@@ -324,39 +315,83 @@ _SERVER_KEYS = {
     "has_power_meter", "idle_off_power",
 }
 _VM_KEYS = {"id", "flavor", "workload", "host", "state", "initiator"}
-_SERVER_NUMBERS = ("cores", "core_speed", "ram_capacity", "idle_off_power")
+#: The Python types of a JSON number.
+_NUMBERS = {int, float}
+#: What a field of each kind must hold, as ``scalar`` says it.
+_KIND_TEXT = {int: "an integer", float: "a number", bool: "true or false"}
+#: The kind ``scalar`` checks for each field annotation of a config dataclass.
+_FIELD_KINDS = {"int": int, "float": float, "bool": bool}
 
 
 class ModelFormatError(ValueError):
-    """Raised when a JSON document does not match the expected schema."""
+    """Raised when a model, scenario, workload or config document is
+    malformed; the message names the malformed entity."""
 
 
-def _reject_unknown(obj: Mapping, allowed: set[str], where: str) -> None:
+#: What a malformed JSON document raises while it is turned into objects.
+MALFORMED = (ValueError, KeyError, TypeError, AttributeError)
+
+
+def malformed(where: str, exc: Exception, path: str | None = None) -> ModelFormatError:
+    """The error for a malformed entity, naming it and the file it came from."""
+    if path is not None:
+        where = f"{where} ({path})"
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ModelFormatError(f"{where}: {detail}")
+
+
+def reject_unknown(obj: Mapping, allowed: set[str], where: str | None = None) -> None:
+    """Refuse a key of ``obj`` outside ``allowed``; ``where`` names ``obj``
+    when no ``malformed`` error around the call names it."""
     unknown = set(obj) - allowed
     if unknown:
-        raise ModelFormatError(f"{where}: unknown keys {sorted(unknown)}")
+        message = f"unknown keys {sorted(unknown)}"
+        raise ModelFormatError(message if where is None else f"{where}: {message}")
 
 
-def reject_bools(obj: Mapping, keys, where: str) -> None:
-    """Reject ``true`` or ``false`` where ``obj`` holds a number at one of
-    ``keys``: JSON's booleans reach Python as ints."""
-    for key in keys:
-        if isinstance(obj.get(key), bool):
-            raise ModelFormatError(f"{where}: {key} must be a number, got {obj[key]!r}")
+def scalar(value, name: str, kind: type = float):
+    """``value`` as a ``kind``; the one rule for a number or boolean field
+    named ``name``. A number is a JSON ``int`` or ``float``, an integer only
+    an ``int``, a boolean only ``true`` or ``false``: strings, ``null``, a
+    boolean for a number and ``2.5`` for an integer are refused."""
+    if type(value) is kind or kind is float and type(value) is int:
+        return kind(value)
+    raise ModelFormatError(f"{name} must be {_KIND_TEXT[kind]}, got {value!r}")
 
 
-def _number_pairs(obj: Mapping, key: str, where: str) -> tuple[tuple[float, float], ...]:
-    rows = obj[key]
-    if bool in map(type, chain.from_iterable(rows)):
-        raise ModelFormatError(f"{where}: {key} must hold numbers, got true or false")
+def check_scalars(config) -> None:
+    """``scalar`` on every ``int``, ``float`` and ``bool`` field of the
+    dataclass ``config``."""
+    for f in fields(config):
+        kind = _FIELD_KINDS.get(f.type)
+        if kind is not None:
+            scalar(getattr(config, f.name), f"{type(config).__name__}: {f.name}", kind)
+
+
+def json_array(obj: Mapping, key: str) -> list:
+    """The JSON array of objects at ``key`` of ``obj``, empty if absent; the
+    error names the array, or the first item that is not an object."""
+    items = obj.get(key, [])
+    if not isinstance(items, list):
+        raise ModelFormatError(f"{key} must be a JSON array")
+    for index, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ModelFormatError(f"{key}[{index}] must be a JSON object")
+    return items
+
+
+def json_object(obj: Mapping, key: str) -> dict:
+    """The JSON object at ``key`` of ``obj``, empty if absent."""
+    value = obj.get(key, {})
+    if not isinstance(value, dict):
+        raise ModelFormatError(f"{key} must be a JSON object")
+    return value
+
+
+def _number_pairs(rows, name: str) -> tuple[tuple[float, float], ...]:
+    if not set(map(type, chain.from_iterable(rows))) <= _NUMBERS:
+        raise ModelFormatError(f"{name} must hold numbers")
     return tuple((float(a), float(b)) for a, b in rows)
-
-
-def reject_bool_numbers(config) -> None:
-    """``reject_bools`` on every ``int`` or ``float`` field of the dataclass
-    ``config``."""
-    numbers = [f.name for f in fields(config) if f.type in ("int", "float", int, float)]
-    reject_bools(vars(config), numbers, type(config).__name__)
 
 
 def workload_to_dict(workload: WorkloadModel) -> dict:
@@ -372,40 +407,39 @@ def workload_to_dict(workload: WorkloadModel) -> dict:
     }
 
 
-def workload_from_dict(obj: Mapping, where: str = "workload") -> WorkloadModel:
+def workload_from_dict(obj: Mapping) -> WorkloadModel:
     kind = obj.get("kind")
     if kind == "blackbox_trace":
-        _reject_unknown(obj, {"kind", "segments"}, where)
-        return BlackBoxTrace(_number_pairs(obj, "segments", where))
+        reject_unknown(obj, {"kind", "segments"}, "workload")
+        return BlackBoxTrace(_number_pairs(obj["segments"], "workload: segments"))
     if kind == "open_request_load":
-        _reject_unknown(obj, {"kind", "series", "per_instance_capacity"}, where)
-        reject_bools(obj, ("per_instance_capacity",), where)
+        reject_unknown(obj, {"kind", "series", "per_instance_capacity"}, "workload")
         return OpenRequestLoad(
-            _number_pairs(obj, "series", where),
-            float(obj["per_instance_capacity"]),
+            _number_pairs(obj["series"], "workload: series"),
+            scalar(obj["per_instance_capacity"], "workload: per_instance_capacity"),
         )
-    raise ModelFormatError(f"{where}: unknown kind {kind!r}")
+    raise ModelFormatError(f"workload: unknown kind {kind!r}")
 
 
 def flavor_to_dict(flavor: VmFlavor) -> dict:
     return {"vcpus": flavor.vcpus, "ram": flavor.ram}
 
 
-def flavor_from_dict(obj: Mapping, where: str = "flavor") -> VmFlavor:
-    _reject_unknown(obj, {"vcpus", "ram"}, where)
-    reject_bools(obj, ("vcpus", "ram"), where)
-    return VmFlavor(int(obj["vcpus"]), float(obj["ram"]))
+def flavor_from_dict(obj: Mapping) -> VmFlavor:
+    reject_unknown(obj, {"vcpus", "ram"}, "flavor")
+    return VmFlavor(scalar(obj["vcpus"], "flavor: vcpus", int), scalar(obj["ram"], "flavor: ram"))
 
 
 def power_model_to_dict(pm: PowerModel) -> dict:
     return {"family": pm.family, "coefficients": list(pm.coefficients)}
 
 
-def power_model_from_dict(obj: Mapping, where: str) -> PowerModel:
-    _reject_unknown(obj, {"family", "coefficients"}, where)
-    if bool in map(type, obj["coefficients"]):
-        raise ModelFormatError(f"{where}: coefficients must be numbers, got true or false")
-    return PowerModel(str(obj["family"]), tuple(float(c) for c in obj["coefficients"]))
+def power_model_from_dict(obj: Mapping) -> PowerModel:
+    reject_unknown(obj, {"family", "coefficients"})
+    coefficients = obj["coefficients"]
+    if not set(map(type, coefficients)) <= _NUMBERS:
+        raise ModelFormatError(f"coefficients must be numbers, got {coefficients!r}")
+    return PowerModel(str(obj["family"]), tuple(float(c) for c in coefficients))
 
 
 def vm_to_dict(vm: VmInstance) -> dict:
@@ -420,15 +454,27 @@ def vm_to_dict(vm: VmInstance) -> dict:
 
 
 def vm_from_dict(obj: Mapping) -> VmInstance:
-    _reject_unknown(obj, _VM_KEYS, "vm")
-    where = f"vm {obj['id']}"
+    reject_unknown(obj, _VM_KEYS)
     return VmInstance(
         id=str(obj["id"]),
-        flavor=flavor_from_dict(obj["flavor"], f"{where}: flavor"),
-        workload=workload_from_dict(obj["workload"], f"{where}: workload"),
+        flavor=flavor_from_dict(obj["flavor"]),
+        workload=workload_from_dict(obj["workload"]),
         host=obj.get("host"),
         state=VmState(obj.get("state", "running")),
         initiator=Initiator(obj.get("initiator", "tenant")),
+    )
+
+
+def server_from_dict(obj: Mapping) -> ServerSpec:
+    reject_unknown(obj, _SERVER_KEYS)
+    return ServerSpec(
+        id=str(obj["id"]),
+        cores=scalar(obj["cores"], "cores", int),
+        core_speed=scalar(obj["core_speed"], "core_speed"),
+        ram_capacity=scalar(obj["ram_capacity"], "ram_capacity"),
+        power_model_id=str(obj["power_model_id"]),
+        has_power_meter=scalar(obj.get("has_power_meter", True), "has_power_meter", bool),
+        idle_off_power=scalar(obj.get("idle_off_power", 0.0), "idle_off_power"),
     )
 
 
@@ -455,29 +501,31 @@ def model_to_dict(model: DataCenterModel) -> dict:
 
 
 def model_from_dict(obj: Mapping) -> DataCenterModel:
-    _reject_unknown(obj, _MODEL_KEYS, "data center model")
+    """Build a model. A malformed server, power model or initial VM is
+    named as ``scenario_from_dict`` names a template or event."""
+    reject_unknown(obj, _MODEL_KEYS, "data center model")
     servers = []
-    for raw in obj.get("servers", []):
-        _reject_unknown(raw, _SERVER_KEYS, "server")
-        reject_bools(raw, _SERVER_NUMBERS, f"server {raw['id']}")
-        servers.append(
-            ServerSpec(
-                id=str(raw["id"]),
-                cores=int(raw["cores"]),
-                core_speed=float(raw["core_speed"]),
-                ram_capacity=float(raw["ram_capacity"]),
-                power_model_id=str(raw["power_model_id"]),
-                has_power_meter=bool(raw.get("has_power_meter", True)),
-                idle_off_power=float(raw.get("idle_off_power", 0.0)),
-            )
-        )
-    power_models = {
-        str(pm_id): power_model_from_dict(raw, f"power model {pm_id}")
-        for pm_id, raw in obj.get("power_models", {}).items()
+    for raw in json_array(obj, "servers"):
+        try:
+            servers.append(server_from_dict(raw))
+        except MALFORMED as exc:
+            raise malformed(f"server {raw.get('id')}", exc) from exc
+    power_models = {}
+    for pm_id, raw in json_object(obj, "power_models").items():
+        try:
+            power_models[str(pm_id)] = power_model_from_dict(raw)
+        except MALFORMED as exc:
+            raise malformed(f"power model {pm_id}", exc) from exc
+    initial_vms = []
+    for raw in json_array(obj, "initial_vms"):
+        try:
+            initial_vms.append(vm_from_dict(raw))
+        except MALFORMED as exc:
+            raise malformed(f"vm {raw.get('id')}", exc) from exc
+    power_states = {
+        str(k): str(v) for k, v in json_object(obj, "initial_power_states").items()
     }
-    initial_vms = tuple(vm_from_dict(raw) for raw in obj.get("initial_vms", []))
-    power_states = {str(k): str(v) for k, v in obj.get("initial_power_states", {}).items()}
-    return DataCenterModel(tuple(servers), power_models, initial_vms, power_states)
+    return DataCenterModel(tuple(servers), power_models, tuple(initial_vms), power_states)
 
 
 #: Pending pieces ``write_json`` gathers before it hands them to ``write``.

@@ -14,19 +14,23 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .model import (
+    MALFORMED,
+    ModelFormatError,
     VmFlavor,
     WorkloadModel,
     flavor_from_dict,
     flavor_to_dict,
+    json_array,
+    json_object,
     json_text,
-    reject_bools,
+    malformed,
+    scalar,
     workload_from_dict,
     workload_to_dict,
 )
 
-
-class ScenarioError(ValueError):
-    """Raised for malformed scenario documents; message names the offender."""
+#: A malformed scenario is refused with the error class of a malformed model.
+ScenarioError = ModelFormatError
 
 
 @dataclass(frozen=True)
@@ -192,12 +196,11 @@ def _trigger_to_dict(trigger: Trigger) -> dict:
 
 
 def _trigger_from_dict(obj: Mapping) -> Trigger:
-    reject_bools(obj, ("time", "offset"), "trigger")
     kind = obj.get("type")
     if kind == "absolute":
-        return AbsoluteTime(float(obj["time"]))
+        return AbsoluteTime(scalar(obj["time"], "trigger: time"))
     if kind == "relative":
-        return RelativeTo(str(obj["reference"]), float(obj["offset"]))
+        return RelativeTo(str(obj["reference"]), scalar(obj["offset"], "trigger: offset"))
     raise ScenarioError(f"unknown trigger type {kind!r}")
 
 
@@ -232,8 +235,7 @@ def _request_from_dict(obj: Mapping) -> Request:
     if kind == "reconfigure_optimisation_algorithm":
         return ReconfigureOptimisationAlgorithm(algorithm=str(obj["algorithm"]))
     if kind == "change_optimisation_interval":
-        reject_bools(obj, ("interval",), "request")
-        return ChangeOptimisationInterval(interval=float(obj["interval"]))
+        return ChangeOptimisationInterval(interval=scalar(obj["interval"], "request: interval"))
     raise ScenarioError(f"unknown request type {kind!r}")
 
 
@@ -258,25 +260,6 @@ def scenario_to_dict(scenario: ExperimentScenario) -> dict:
     }
 
 
-#: What a malformed JSON document raises while it is turned into objects.
-_MALFORMED = (ValueError, KeyError, TypeError, AttributeError)
-
-
-def _malformed(where: str, exc: Exception, path: str | None = None) -> ScenarioError:
-    """The error for a malformed entity, naming it and the file it came from."""
-    if path is not None:
-        where = f"{where} ({path})"
-    detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-    return ScenarioError(f"{where}: {detail}")
-
-
-def _templates_of(obj: Mapping) -> Mapping:
-    templates = obj.get("templates", {})
-    if not isinstance(templates, dict):
-        raise ScenarioError("templates must be a JSON object")
-    return templates
-
-
 def scenario_from_dict(
     obj: Mapping,
     known_vm_ids: Iterable[str] = (),
@@ -287,28 +270,23 @@ def scenario_from_dict(
     ``workload_files`` has one, and an event that is not an object by its
     index."""
     templates: dict[str, ApplicationTemplate] = {}
-    for tid, raw in _templates_of(obj).items():
+    for tid, raw in json_object(obj, "templates").items():
         try:
             templates[str(tid)] = ApplicationTemplate(
                 flavor=flavor_from_dict(raw["flavor"]),
                 workload=workload_from_dict(raw["workload"]),
                 parameters={str(k): str(v) for k, v in raw.get("parameters", {}).items()},
             )
-        except _MALFORMED as exc:
-            raise _malformed(f"template {tid!r}", exc, (workload_files or {}).get(tid)) from exc
-    raw_events = obj.get("events", [])
-    if not isinstance(raw_events, list):
-        raise ScenarioError("events must be a JSON array")
+        except MALFORMED as exc:
+            raise malformed(f"template {tid!r}", exc, (workload_files or {}).get(tid)) from exc
     events = []
-    for index, raw in enumerate(raw_events):
-        if not isinstance(raw, dict):
-            raise ScenarioError(f"events[{index}] must be a JSON object")
+    for raw in json_array(obj, "events"):
         event_id = str(raw.get("id", "<missing id>"))
         try:
             trigger = _trigger_from_dict(raw.get("trigger", {}))
             request = _request_from_dict(raw.get("request", {}))
-        except _MALFORMED as exc:
-            raise _malformed(f"event {event_id!r}", exc) from exc
+        except MALFORMED as exc:
+            raise malformed(f"event {event_id!r}", exc) from exc
         events.append(TimelineEvent(id=event_id, trigger=trigger, request=request))
     scenario = ExperimentScenario(events=events, templates=templates)
     check_scenario(scenario, known_vm_ids)
@@ -354,7 +332,7 @@ def load_scenario(path, known_vm_ids: Iterable[str] = ()) -> ExperimentScenario:
         raise ScenarioError(f"{path}: scenario must be a JSON object")
     base = os.path.dirname(os.path.abspath(path))
     workload_files: dict[str, str] = {}
-    for tid, raw in _templates_of(obj).items():
+    for tid, raw in json_object(obj, "templates").items():
         workload = raw.get("workload") if isinstance(raw, dict) else None
         if isinstance(workload, dict) and "file" in workload:
             ref = workload["file"]
@@ -366,5 +344,5 @@ def load_scenario(path, known_vm_ids: Iterable[str] = ()) -> ExperimentScenario:
                 try:
                     raw["workload"] = json.load(fh)
                 except json.JSONDecodeError as exc:
-                    raise _malformed(f"template {tid!r}", exc, wl_path) from exc
+                    raise malformed(f"template {tid!r}", exc, wl_path) from exc
     return scenario_from_dict(obj, known_vm_ids, workload_files)

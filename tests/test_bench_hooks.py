@@ -1,13 +1,16 @@
-"""The benchmark's span hooks still reach the program.
+"""The benchmark's span hooks still reach the program, and its inputs load.
 
 ``bench/spans.instrument`` wraps program functions where their callers look
 them up by name. A rename or a changed call path in ``src`` would leave a
 wrapper that is never called; this test fails on that, instead of only a
 traced benchmark run (``bench/run.py --trace 1``) showing a zero count.
+Likewise an input rule that refused a document ``bench/inputs.py`` writes
+fails here, not in a benchmark run.
 """
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -19,6 +22,7 @@ import dcsim.extraction as extraction_mod
 import dcsim.model as model_mod
 import dcsim.scenario as scenario_mod
 import dcsim.state as state_mod
+from dcsim.algorithms import AlgorithmConfig
 from dcsim.report import write_report
 from tests.test_engine import _all_feature_engine
 
@@ -44,6 +48,14 @@ def spans(monkeypatch):
     import spans
 
     return spans
+
+
+@pytest.fixture
+def bench_inputs(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    import inputs
+
+    return inputs
 
 
 def _bindings() -> dict:
@@ -80,3 +92,23 @@ def test_every_hook_is_called_and_restored(spans, tmp_path):
     assert [kind for kind in spans.EVENT_KINDS if not calls[f"state.events_popped.{kind}"]] == []
     after = _bindings()
     assert {key: value for key, value in after.items() if key in before} == before
+
+
+@pytest.mark.parametrize("workload, size", [
+    ("batch-fleet", 4), ("autoscale-tiers", 1), ("trace-roundtrip", 10),
+])
+def test_bench_inputs_load(bench_inputs, tmp_path, workload, size):
+    """Each workload's generated model, scenario and configs pass the
+    program's own loaders and checks."""
+    bench_inputs.generate(workload, 1, size, str(tmp_path))
+    model = model_mod.load_model(str(tmp_path / "model.json"))
+    assert model_mod.validate(model) == []
+    scenario = scenario_mod.load_scenario(
+        str(tmp_path / "scenario.json"), known_vm_ids=[vm.id for vm in model.initial_vms]
+    )
+    assert scenario.events
+    with open(tmp_path / "config.json") as fh:
+        config = json.load(fh)
+    engine_mod.SimConfig(**config["sim"])
+    for algorithms in config["algorithms"]:
+        AlgorithmConfig.from_dict(algorithms)

@@ -15,6 +15,7 @@ from dcsim.model import (
     VmInstance,
     VmState,
     dump_model,
+    load_model,
     parse_model,
     validate,
 )
@@ -115,12 +116,12 @@ class TestSimulate:
         ("scenario", ("events", 1, "trigger", "offset"), math.inf, "event 'e2'"),
         ("scenario", ("events", 0, "request", "flavor_override"),
          {"vcpus": 1, "ram": math.nan}, "event 'e1'"),
-        ("model", ("servers", 0, "cores"), True, "server s1: cores must be a number, got True"),
+        ("model", ("servers", 0, "cores"), True, "server s1: cores must be an integer, got True"),
         ("model", ("servers", 0, "idle_off_power"), False, "server s1: idle_off_power must be"),
         ("model", ("power_models", "pm", "coefficients", 0), True,
          "power model pm: coefficients must be numbers"),
         ("model", ("initial_vms",), [dict(VM_V1, flavor={"vcpus": True, "ram": 1024.0})],
-         "vm v1: flavor: vcpus must be a number"),
+         "vm v1: flavor: vcpus must be an integer"),
         ("model", ("initial_vms",),
          [dict(VM_V1, workload={"kind": "blackbox_trace", "segments": [[100.0, False]]})],
          "vm v1: workload: segments must hold numbers"),
@@ -155,6 +156,19 @@ class TestSimulate:
         ("scenario", ("events", 0, "request"),
          {"type": "change_optimisation_interval", "interval": 0.0},
          "event 'e1' interval must be finite and > 0"),
+        ("model", ("servers", 0, "cores"), "4", "server s1: cores must be an integer, got '4'"),
+        ("model", ("servers", 0, "cores"), 2.5, "server s1: cores must be an integer, got 2.5"),
+        ("model", ("power_models", "pm", "coefficients", 0), "50",
+         "power model pm: coefficients must be numbers"),
+        ("scenario", ("templates", "tpl", "flavor", "vcpus"), 1.5,
+         "template 'tpl': flavor: vcpus must be an integer, got 1.5"),
+        ("model", ("servers", 0, "has_power_meter"), "no",
+         "server s1: has_power_meter must be true or false, got 'no'"),
+        ("scenario", ("events", 0, "trigger", "time"), "5",
+         "event 'e1': trigger: time must be a number, got '5'"),
+        ("scenario", ("events", 0, "request"),
+         {"type": "change_optimisation_interval", "interval": "60"},
+         "event 'e1': request: interval must be a number, got '60'"),
     ])
     def test_malformed_value_names_entity(self, inputs, capsys, document, path, value,
                                           entity):
@@ -172,7 +186,7 @@ class TestSimulate:
         if document == "model":
             try:
                 problems = validate(parse_model(text))
-            except ModelFormatError as exc:  # a bool is refused as it loads
+            except ModelFormatError as exc:  # a value of the wrong type is refused as it loads
                 problems = [str(exc)]
             assert any(entity in problem for problem in problems)
         else:
@@ -217,7 +231,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("path, value, message", [
         (("request", "vm_id"), None, "missing key 'vm_id'"),
-        (("trigger", "time"), "soon", "could not convert"),
+        (("trigger", "time"), "soon", "must be a number"),
         (("request", "type"), "reboot", "unknown request type 'reboot'"),
         (("trigger", "type"), "later", "unknown trigger type 'later'"),
     ])
@@ -237,23 +251,30 @@ class TestSimulate:
         assert main(simulate_args(model, scenario, str(tmp_path / "out"))) == 2
         assert "error: event 'e1': " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mutate, message", [
-        (lambda doc: doc.update(templates=[1]), "templates must be a JSON object"),
-        (lambda doc: doc["templates"].update(tpl=1), "template 'tpl': "),
-        (lambda doc: doc["templates"]["tpl"].update(workload={"file": 5}),
+    @pytest.mark.parametrize("document, mutate, message", [
+        ("scenario", lambda doc: doc.update(templates=[1]), "templates must be a JSON object"),
+        ("scenario", lambda doc: doc["templates"].update(tpl=1), "template 'tpl': "),
+        ("scenario", lambda doc: doc["templates"]["tpl"].update(workload={"file": 5}),
          "template 'tpl': workload file must be a path"),
-        (lambda doc: doc.update(events=5), "events must be a JSON array"),
-        (lambda doc: doc["events"].append(1), "events[2] must be a JSON object"),
-    ], ids=["templates-list", "template-int", "workload-file-int", "events-int", "event-int"])
-    def test_malformed_shape_names_entity(self, inputs, capsys, mutate, message):
+        ("scenario", lambda doc: doc.update(events=5), "events must be a JSON array"),
+        ("scenario", lambda doc: doc["events"].append(1), "events[2] must be a JSON object"),
+        ("model", lambda doc: doc["servers"][0].pop("cores"), "server s1: missing key 'cores'"),
+        ("model", lambda doc: doc.update(servers=[1]), "servers[0] must be a JSON object"),
+        ("model", lambda doc: doc.update(initial_vms=[dict(
+            VM_V1, workload={"kind": "blackbox_trace", "segments": [[1.0]]})]), "vm v1: "),
+    ], ids=["templates-list", "template-int", "workload-file-int", "events-int", "event-int",
+            "server-without-cores", "server-int", "segment-one-number"])
+    def test_malformed_shape_names_entity(self, inputs, capsys, document, mutate, message):
         tmp_path, model, scenario = inputs
-        with open(scenario) as fh:
+        target = model if document == "model" else scenario
+        with open(target) as fh:
             obj = json.load(fh)
         mutate(obj)
-        with open(scenario, "w") as fh:
+        with open(target, "w") as fh:
             json.dump(obj, fh)
-        with pytest.raises(ScenarioError, match="^" + re.escape(message)):
-            load_scenario(scenario)
+        load = load_model if document == "model" else load_scenario
+        with pytest.raises(ModelFormatError, match="^" + re.escape(message)):
+            load(target)
         assert main(simulate_args(model, scenario, str(tmp_path / "out"))) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
@@ -471,31 +492,38 @@ class TestCompare:
 @pytest.mark.parametrize("command, config, message", [
     ("simulate", {"bogus": 1}, "'bogus'"),
     ("simulate", {"react": {"upper": 2}}, "'upper'"),
-    ("simulate", {"spare_servers": 1.5}, "spare_servers must be an integer >= 0, got 1.5"),
-    ("simulate", {"reg": {"window": 2.5}}, "window must be an integer >= 2, got 2.5"),
+    ("simulate", {"spare_servers": 1.5}, "spare_servers must be an integer, got 1.5"),
+    ("simulate", {"reg": {"window": 2.5}}, "window must be an integer, got 2.5"),
     ("simulate", {"power_manager_enabled": "no"}, "must be true or false, got 'no'"),
-    ("simulate", {"spare_servers": True}, "spare_servers must be a number, got True"),
+    ("simulate", {"spare_servers": True}, "spare_servers must be an integer, got True"),
     ("simulate", {"optimizer": None}, "unknown optimizer algorithm None"),
     ("compare", {"bogus": 1}, "compare config: unknown keys ['bogus']"),
     ("compare", {"algorithms": {"react": {"upper": 2}}}, "'upper'"),
     ("compare", {"algorithms": {"spare_servers": 1.5}}, "spare_servers must be an integer"),
     ("compare", {"sim": {"bogus": 1}}, "'bogus'"),
-    ("compare", {"sim": {"end_time": "100"}}, "end_time must be finite and > 0, got '100'"),
+    ("compare", {"sim": {"end_time": "100"}}, "end_time must be a number, got '100'"),
     ("compare", {"sim": {"end_time": True}}, "end_time must be a number, got True"),
     ("compare", {"sim": {"end_time": 5400.0, "seed": 5}}, "sim: seed is set by --seed"),
     ("compare", {"model": None}, "missing key 'model'"),
     ("compare", {"scenario": None}, "missing key 'scenario'"),
+    ("simulate", None, "Is a directory"),
 ], ids=["algo-unknown-key", "algo-unknown-react-key", "algo-fractional-spares",
         "algo-fractional-reg-window", "algo-string-power-manager", "algo-bool-spares",
         "algo-null-optimizer", "compare-unknown-key", "compare-unknown-react-key",
         "compare-fractional-spares", "compare-unknown-sim-key", "compare-string-end-time",
-        "compare-bool-end-time", "compare-sim-seed", "compare-no-model", "compare-no-scenario"])
+        "compare-bool-end-time", "compare-sim-seed", "compare-no-model", "compare-no-scenario",
+        "model-directory"])
 def test_malformed_config_names_file(inputs, capsys, command, config, message):
-    """A config file that the simulator cannot run exits 2 and names the
-    file; a ``None`` value drops that key from a compare config."""
+    """A config file that the simulator cannot run, or a model path it
+    cannot read, exits 2 and names the file; a ``None`` value drops that key
+    from a compare config, and a ``None`` config makes the file a directory
+    that is given as ``--model``."""
     tmp_path, model, scenario = inputs
     bad = tmp_path / "bad.json"
-    if command == "simulate":
+    if config is None:
+        bad.mkdir()
+        args = simulate_args(str(bad), scenario, str(tmp_path / "out"))
+    elif command == "simulate":
         bad.write_text(json.dumps(config))
         args = simulate_args(model, scenario, str(tmp_path / "out"))
         args += ["--algo-config", str(bad)]
@@ -508,8 +536,8 @@ def test_malformed_config_names_file(inputs, capsys, command, config, message):
         args = ["compare", "--config", str(good), "--config", str(bad)]
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: ")
-    assert message in err
+    assert config is None or err.startswith(f"error: {bad}: ")
+    assert str(bad) in err and message in err
 
 
 def test_report_error_prints_table_format(capsys):

@@ -629,8 +629,8 @@ TIMES = st.one_of(
 
 @st.composite
 def time_ordered_stores(draw):
-    """Stores as ``ingest_measurements`` leaves them: both lists stably
-    sorted by time, each VM's lifecycle in a valid order. VMs may never
+    """Stores whose lists are both stably sorted by time, the order the
+    linear scans assume, with each VM's lifecycle in a valid order. VMs may never
     start, never end, or migrate several times (also to an unknown host).
     Most of a VM's utilization samples fall after it starts."""
     rows = draw(st.lists(st.tuples(

@@ -104,8 +104,10 @@ class TestValidate:
         ]
 
     def test_host_state_consistency(self):
-        assert any("requires a host" in p
-                   for p in [e for e in _vm("v", 1024, state=VmState.RUNNING).check()])
+        vm = _vm("v", 1024, state=VmState.RUNNING)
+        assert validate(make_model(1, initial_vms=[vm])) == [
+            "initial vm v has no host assignment"
+        ]
 
 
 class TestPowerModel:
