@@ -7,8 +7,9 @@ class of the package is one) or an ``OSError``, such as a path that cannot
 be read or written. Every command checks its inputs with the simulator's
 own checks, so a model, scenario or trace that one command accepts, the
 simulator can run. A ``simulate`` flag sets the ``SimConfig`` or
-``AlgorithmConfig`` field of its name; a flag left out keeps the
-dataclass default, and ``--algo-config`` overrides the flags. All
+``AlgorithmConfig`` field of its name, and ``--algo-config`` overrides
+the flags. A flag left out, there or in another command, keeps the
+default of the field or parameter it sets. All
 randomness flows from --seed; no run reads the clock or the environment
 for entropy. Set DCSIM_LOG to a logging level name for diagnostics.
 """
@@ -144,7 +145,7 @@ def cmd_extract(args) -> int:
         servers=servers,
         exclude_autoscaler=args.exclude_autoscaler,
         infrastructure=model,
-        resample_interval=args.resample,
+        **({"resample_interval": args.resample} if "resample" in args else {}),
     )
     if not result.extracted_vm_ids:
         log.warning("no VM submissions found in the window")
@@ -196,10 +197,11 @@ def cmd_fit_power(args) -> int:
 _COMPARE_KEYS = {"label", "model", "scenario", "algorithms", "sim"}
 
 
-def _compare_run(cfg: dict, path: str, seed: int) -> dict:
+def _compare_run(cfg: dict, path: str, given: dict) -> dict:
     """One ``compare`` configuration; relative model and scenario paths are
     resolved against the directory of the file at ``path``. ``--seed`` is the
-    one seed of every configuration, so ``sim`` may not hold one."""
+    one seed of every configuration, so ``sim`` may not hold one; ``given``
+    holds it if it was given."""
     reject_unknown(cfg, _COMPARE_KEYS, "compare config")
     sim = cfg.get("sim", {})
     if "seed" in sim:
@@ -211,7 +213,7 @@ def _compare_run(cfg: dict, path: str, seed: int) -> dict:
             os.path.normpath(os.path.join(base, cfg[key])) for key in ("model", "scenario")
         ),
         "algorithms": AlgorithmConfig.from_dict(cfg.get("algorithms", {})),
-        "config": engine_mod.SimConfig(**sim, seed=seed),
+        "config": engine_mod.SimConfig(**sim, **given),
     }
 
 
@@ -220,10 +222,8 @@ def cmd_compare(args) -> int:
     loaded once; print a table and optionally write it as JSON."""
     if len(args.config) < 2:
         raise ValueError("compare needs at least two --config files")
-    runs = [
-        _read_config(path, lambda cfg: _compare_run(cfg, path, args.seed))
-        for path in args.config
-    ]
+    given = _given(args, engine_mod.SimConfig)
+    runs = [_read_config(path, lambda cfg: _compare_run(cfg, path, given)) for path in args.config]
     inputs = {run["inputs"] for run in runs}
     if len(inputs) > 1:
         raise ValueError("compare configurations disagree on model/scenario paths")
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--to", dest="to", type=float, required=True)
     ext.add_argument("--servers", help="comma-separated server ids (default: all)")
     ext.add_argument("--exclude-autoscaler", action="store_true")
-    ext.add_argument("--resample", type=float, default=30.0)
+    ext.add_argument("--resample", type=float, default=argparse.SUPPRESS)
     ext.add_argument("--out", required=True, help="scenario JSON path")
     ext.set_defaults(func=cmd_extract)
 
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_parser = sub.add_parser("compare", help="run several configurations and compare")
     cmp_parser.add_argument("--config", action="append", required=True,
                             help="configuration JSON (repeat)")
-    cmp_parser.add_argument("--seed", type=int, default=0)
+    cmp_parser.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     cmp_parser.add_argument("--out", help="write the comparison as JSON")
     cmp_parser.set_defaults(func=cmd_compare)
 

@@ -16,14 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import (
-    POWER_OFF,
-    POWER_ON,
-    Initiator,
-    VmFlavor,
-    VmState,
-)
-from .state import POWER_TRANSITION_FINISHED, SimulationState, VmRuntime
+from .model import POWER_OFF, POWER_ON, VmFlavor, VmState
+from .state import SimulationState, VmRuntime
 
 
 @dataclass(frozen=True)
@@ -121,14 +115,11 @@ def sync_measurements(sim: SimulationState) -> RuntimeModelSnapshot:
     """Runtime view reflecting the simulation's current values.
 
     The returned snapshot is a consistent copy; algorithms observing it
-    mid-tick can never see partially applied plans. It is built from the
-    hosts alone: each lists the VMs in its ``vm_ids`` that it hosts, so a
-    migrating VM appears once, at its source, and a VM without a host
-    (pending, rejected or ended) not at all.
-
-    A host's ``ServerView`` and ``VmView``s are frozen, so each host keeps
-    them in ``ServerRuntime.view`` and only a host whose cache the state
-    cleared since the last call (see ``dcsim.state``) is rebuilt.
+    mid-tick can never see partially applied plans. Each host lists the
+    VMs it reserves RAM for and hosts, so a migrating VM appears once, at
+    its source, and a VM without a host not at all. A host's views are
+    frozen, so it keeps them in ``ServerRuntime.view`` until the kernel
+    drops them (see ``dcsim.state``), and only those hosts are rebuilt.
     """
     servers = []
     vms: list[VmView] = []
@@ -153,12 +144,12 @@ def _host_view(
         utilization=sim.server_utilization(server_id),
         free_ram=server.free_ram,
     )
-    vms = []
-    for vm_id in server.vm_ids:
-        vm = sim.vms[vm_id]
-        if vm.host == server_id:
-            vms.append(VmView(vm_id, vm.flavor, server_id, vm.state, vm.demand))
-    return view, tuple(vms)
+    vms = tuple(
+        VmView(vm.id, vm.flavor, server_id, vm.state, vm.demand)
+        for vm in server.reserved
+        if vm.host == server_id
+    )
+    return view, vms
 
 
 # --- enactment ----------------------------------------------------------------
@@ -233,25 +224,16 @@ def _enact(
             return Rejected(f"server {action.server_id} has a transition in progress")
         if server.power_state == target_state:
             return Rejected(f"server {action.server_id} is already {target_state}")
-        if target_state == POWER_OFF and server.vm_ids:
+        if target_state == POWER_OFF and server.reserved:
             return Rejected("server not empty")
-        server.pending_power = target_state
-        server.view = None  # usable() may change
-        sim.schedule(
-            sim.now + sim.config.power_transition_latency,
-            POWER_TRANSITION_FINISHED,
-            (action.server_id,),
-        )
+        sim.start_power_transition(action.server_id, target_state)
         return None
 
     if isinstance(action, ScaleOut):
         app = sim.apps.get(action.application_id)
         if app is None:
             return Rejected(f"unknown application {action.application_id}")
-        instance_id = f"{app.id}-i{app.next_seq:04d}"
-        app.next_seq += 1
-        vm = sim.create_vm(instance_id, app.flavor, app.load, Initiator.AUTOSCALER, app=app)
-        return admit(vm, sim)
+        return admit(sim.create_instance(app), sim)
 
     if isinstance(action, ScaleIn):
         app = sim.apps.get(action.application_id)

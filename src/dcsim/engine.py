@@ -101,23 +101,24 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-def integrate_energy(power_series: list[tuple[float, float]], end_time: float) -> float:
-    """Watt-hours under a piecewise-constant power series.
-
-    Each value holds until the next point; the last one extends to
-    ``end_time``. An empty series integrates to zero.
-    """
-    if not power_series:
-        return 0.0
-    if end_time < power_series[-1][0]:
+def _area(points: list[tuple[float, float]], end_time: float) -> float:
+    """The area under a non-empty piecewise-constant series, summed from
+    the left: each value holds until the next point, the last one until
+    ``end_time``."""
+    if end_time < points[-1][0]:
         raise ValueError("end_time precedes the last sample")
-    watt_seconds = 0.0
-    for (t0, watts), (t1, _) in zip(power_series, power_series[1:]):
+    area = 0.0
+    for (t0, value), (t1, _) in zip(points, points[1:]):
         if t1 <= t0:
-            raise ValueError("power series times must be strictly increasing")
-        watt_seconds += watts * (t1 - t0)
-    watt_seconds += power_series[-1][1] * (end_time - power_series[-1][0])
-    return watt_seconds / 3600.0
+            raise ValueError("series times must be strictly increasing")
+        area += value * (t1 - t0)
+    return area + points[-1][1] * (end_time - points[-1][0])
+
+
+def integrate_energy(power_series: list[tuple[float, float]], end_time: float) -> float:
+    """Watt-hours under a piecewise-constant power series; an empty series
+    integrates to zero."""
+    return _area(power_series, end_time) / 3600.0 if power_series else 0.0
 
 
 def sample_measurements(sim: SimulationState) -> None:
@@ -206,11 +207,7 @@ class SimulationReport:
         start = points[0][0]
         if self.end_time <= start:
             return float(points[0][1])
-        area = 0.0
-        for (t0, n), (t1, _) in zip(points, points[1:]):
-            area += n * (t1 - t0)
-        area += points[-1][1] * (self.end_time - points[-1][0])
-        return area / (self.end_time - start)
+        return _area(points, self.end_time) / (self.end_time - start)
 
     def to_dict(self) -> dict:
         return {
@@ -272,18 +269,20 @@ class _Engine:
         self.optimizer_interval = config.optimizer_interval
         self.optimizer_epoch = 0  # invalidates the pending optimizer tick
         self.autoscaler_series: list[tuple[float, str, int, float]] = []
+        # each kind's transition, called with the event's payload as its arguments
+        sim = self.sim
         self.handlers = {
-            SCENARIO_REQUEST: lambda p: self._handle_scenario_request(*p),
+            SCENARIO_REQUEST: self._handle_scenario_request,
             # one transition; the two kinds stay apart so pops can be counted per kind
-            SEGMENT_BOUNDARY: lambda p: self.sim.finish_segment(*p),
-            VM_COMPLETED: lambda p: self.sim.finish_segment(*p),
-            BOOT_FINISHED: lambda p: self._handle_boot_finished(*p),
-            MIGRATION_FINISHED: lambda p: self.sim.finish_migration(*p),
-            POWER_TRANSITION_FINISHED: lambda p: self.sim.finish_power_transition(*p),
-            OPTIMIZER_TICK: lambda p: self._handle_optimizer_tick(*p),
-            AUTOSCALER_TICK: lambda p: self._handle_autoscaler_tick(),
-            MEASUREMENT_SAMPLE: lambda p: self._handle_measurement(),
-            RATE_UPDATE: lambda p: self._handle_rate_update(*p),
+            SEGMENT_BOUNDARY: sim.finish_segment,
+            VM_COMPLETED: sim.finish_segment,
+            BOOT_FINISHED: self._handle_boot_finished,
+            MIGRATION_FINISHED: sim.finish_migration,
+            POWER_TRANSITION_FINISHED: sim.finish_power_transition,
+            OPTIMIZER_TICK: self._handle_optimizer_tick,
+            AUTOSCALER_TICK: self._handle_autoscaler_tick,
+            MEASUREMENT_SAMPLE: self._handle_measurement,
+            RATE_UPDATE: sim.recompute_app_demand,
         }
 
     @staticmethod
@@ -317,7 +316,7 @@ class _Engine:
         for offset, _rate in workload.series:
             when = self.sim.now + offset
             if when <= self.config.end_time:
-                self.sim.schedule(when, RATE_UPDATE, (app_id,))
+                self.sim.schedule(when, RATE_UPDATE, (app,))
         return app
 
     def _schedule_initial_events(self) -> None:
@@ -335,23 +334,24 @@ class _Engine:
 
     # -- event handlers ------------------------------------------------------
 
-    def _complete_event(self, event_id: str, when: float) -> None:
+    def _complete_event(self, event_id: str) -> None:
         for ev in self.waiting.pop(event_id, ()):
-            trigger = when + ev.trigger.offset
+            trigger = self.sim.now + ev.trigger.offset
             if trigger <= self.config.end_time:
                 self.sim.schedule(trigger, SCENARIO_REQUEST, (ev.id,))
 
     def _handle_scenario_request(self, event_id: str) -> None:
-        ev = self.events[event_id]
-        request = ev.request
+        """Carry out a scenario request and complete its event, except for a
+        start whose VM found a host: that VM's boot completes it."""
+        request = self.events[event_id].request
         if isinstance(request, StartApplication):
-            self._handle_start(ev, request)
+            if self._handle_start(event_id, request):
+                return
         elif isinstance(request, StopApplication):
-            self._handle_stop(ev, request)
+            self._handle_stop(request)
         elif isinstance(request, ReconfigureOptimisationAlgorithm):
             self.optimizer_id = request.algorithm
             self.sim.log("reconfigure-optimizer", request.algorithm, "applied")
-            self._complete_event(event_id, self.sim.now)
         elif isinstance(request, ChangeOptimisationInterval):
             self.optimizer_interval = request.interval
             self.optimizer_epoch += 1
@@ -359,23 +359,24 @@ class _Engine:
                 self.sim.now + request.interval, OPTIMIZER_TICK, (self.optimizer_epoch,)
             )
             self.sim.log("change-interval", f"{request.interval}", "applied")
-            self._complete_event(event_id, self.sim.now)
+        self._complete_event(event_id)
 
-    def _handle_start(self, ev: TimelineEvent, request: StartApplication) -> None:
+    def _handle_start(self, event_id: str, request: StartApplication) -> bool:
+        """Create the request's VM and admit it; return whether a host took it."""
         template = self.scenario.templates[request.template]
         flavor = request.flavor_override or template.flavor
         app = self._create_application(request.vm_id, template.workload, flavor)
         vm = self.sim.create_vm(
             request.vm_id, flavor, template.workload, Initiator.TENANT, app=app
         )
-        self.event_of_vm[vm.id] = ev.id
+        self.event_of_vm[vm.id] = event_id
         if admit(vm, self.sim, self.config.placement_decision_latency) is not None:
             self.sim.log("start-request", vm.id, "rejected: no feasible server")
-            self._complete_event(ev.id, self.sim.now)
-            return
+            return False
         self.sim.log("start-request", vm.id, f"placing on {vm.host}")
+        return True
 
-    def _handle_stop(self, ev: TimelineEvent, request: StopApplication) -> None:
+    def _handle_stop(self, request: StopApplication) -> None:
         target = request.target
         if target in self.events and isinstance(
             self.events[target].request, StartApplication
@@ -391,7 +392,6 @@ class _Engine:
         else:
             self.sim.end_vm(vm, VmState.TERMINATED)
             self.sim.log("stop-request", vm_id, f"terminated {vm_id}")
-        self._complete_event(ev.id, self.sim.now)
 
     def _handle_boot_finished(self, vm_id: str, epoch: int) -> None:
         """Boot timer: the VM starts running and its start event completes."""
@@ -401,7 +401,7 @@ class _Engine:
         self.sim.finish_boot(vm)
         event_id = self.event_of_vm.get(vm_id)
         if event_id is not None:
-            self._complete_event(event_id, self.sim.now)
+            self._complete_event(event_id)
 
     def _handle_optimizer_tick(self, epoch: int) -> None:
         if epoch != self.optimizer_epoch:
@@ -444,11 +444,6 @@ class _Engine:
             self.sim.now + self.config.autoscaler_interval, AUTOSCALER_TICK, ()
         )
 
-    def _handle_rate_update(self, app_id: str) -> None:
-        app = self.sim.apps.get(app_id)
-        if app is not None:
-            self.sim.recompute_app_demand(app)
-
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> SimulationReport:
@@ -461,7 +456,7 @@ class _Engine:
             if event is None or event.time > self.config.end_time:
                 break
             self.sim.now = event.time
-            self.handlers[event.kind](event.payload)
+            self.handlers[event.kind](*event.payload)
         for reference, events in self.waiting.items():
             for ev in events:
                 log.debug("event %s never ran: its reference %s never completed",
@@ -507,7 +502,7 @@ def run(
     """Simulate the scenario against the model and return the full report."""
     engine = _Engine(model, scenario, algorithms, config)
     report = engine.run()
-    # The handlers' closures refer back to the engine. Dropping them frees the
+    # The handlers are bound methods of the engine. Dropping them frees the
     # kernel state here, not at whichever later full collection finds the cycle.
     engine.handlers.clear()
     return report

@@ -359,6 +359,15 @@ def scalar(value, name: str, kind: type = float):
     raise ModelFormatError(f"{name} must be {_KIND_TEXT[kind]}, got {value!r}")
 
 
+def text(value, name: str) -> str:
+    """``value`` as a string; the one rule for a text field named ``name``:
+    only a JSON string, so ``null`` or a number is refused, not turned into
+    ``'None'`` or ``'7'``."""
+    if type(value) is str:
+        return value
+    raise ModelFormatError(f"{name} must be a string, got {value!r}")
+
+
 def check_scalars(config) -> None:
     """``scalar`` on every ``int``, ``float`` and ``bool`` field of the
     dataclass ``config``."""
@@ -439,7 +448,7 @@ def power_model_from_dict(obj: Mapping) -> PowerModel:
     coefficients = obj["coefficients"]
     if not set(map(type, coefficients)) <= _NUMBERS:
         raise ModelFormatError(f"coefficients must be numbers, got {coefficients!r}")
-    return PowerModel(str(obj["family"]), tuple(float(c) for c in coefficients))
+    return PowerModel(text(obj["family"], "family"), tuple(float(c) for c in coefficients))
 
 
 def vm_to_dict(vm: VmInstance) -> dict:
@@ -455,11 +464,12 @@ def vm_to_dict(vm: VmInstance) -> dict:
 
 def vm_from_dict(obj: Mapping) -> VmInstance:
     reject_unknown(obj, _VM_KEYS)
+    host = obj.get("host")
     return VmInstance(
-        id=str(obj["id"]),
+        id=text(obj["id"], "id"),
         flavor=flavor_from_dict(obj["flavor"]),
         workload=workload_from_dict(obj["workload"]),
-        host=obj.get("host"),
+        host=None if host is None else text(host, "host"),
         state=VmState(obj.get("state", "running")),
         initiator=Initiator(obj.get("initiator", "tenant")),
     )
@@ -468,11 +478,11 @@ def vm_from_dict(obj: Mapping) -> VmInstance:
 def server_from_dict(obj: Mapping) -> ServerSpec:
     reject_unknown(obj, _SERVER_KEYS)
     return ServerSpec(
-        id=str(obj["id"]),
+        id=text(obj["id"], "id"),
         cores=scalar(obj["cores"], "cores", int),
         core_speed=scalar(obj["core_speed"], "core_speed"),
         ram_capacity=scalar(obj["ram_capacity"], "ram_capacity"),
-        power_model_id=str(obj["power_model_id"]),
+        power_model_id=text(obj["power_model_id"], "power_model_id"),
         has_power_meter=scalar(obj.get("has_power_meter", True), "has_power_meter", bool),
         idle_off_power=scalar(obj.get("idle_off_power", 0.0), "idle_off_power"),
     )
@@ -523,7 +533,8 @@ def model_from_dict(obj: Mapping) -> DataCenterModel:
         except MALFORMED as exc:
             raise malformed(f"vm {raw.get('id')}", exc) from exc
     power_states = {
-        str(k): str(v) for k, v in json_object(obj, "initial_power_states").items()
+        str(k): text(v, f"initial power state for {k}")
+        for k, v in json_object(obj, "initial_power_states").items()
     }
     return DataCenterModel(tuple(servers), power_models, tuple(initial_vms), power_states)
 
@@ -660,16 +671,28 @@ def dump_model(model: DataCenterModel) -> str:
     return json_text(model_to_dict(model))
 
 
-def parse_model(text: str) -> DataCenterModel:
+def json_document(source: str, what: str, path=None) -> dict:
+    """The JSON object that the text ``source`` holds, ``what`` naming the
+    document; an error starts with ``path``, the file it was read from."""
+    prefix = "" if path is None else f"{path}: "
     try:
-        obj = json.loads(text)
+        obj = json.loads(source)
     except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"malformed JSON: {exc}") from exc
+        raise ModelFormatError(f"{prefix}malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ModelFormatError("data center model must be a JSON object")
-    return model_from_dict(obj)
+        raise ModelFormatError(f"{prefix}{what} must be a JSON object")
+    return obj
+
+
+def read_json_document(path, what: str) -> dict:
+    """The JSON object in the file at ``path``; an error names the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json_document(fh.read(), what, path)
+
+
+def parse_model(source: str) -> DataCenterModel:
+    return model_from_dict(json_document(source, "data center model"))
 
 
 def load_model(path) -> DataCenterModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    return model_from_dict(read_json_document(path, "data center model"))

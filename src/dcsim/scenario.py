@@ -21,10 +21,13 @@ from .model import (
     flavor_from_dict,
     flavor_to_dict,
     json_array,
+    json_document,
     json_object,
     json_text,
     malformed,
+    read_json_document,
     scalar,
+    text,
     workload_from_dict,
     workload_to_dict,
 )
@@ -200,7 +203,8 @@ def _trigger_from_dict(obj: Mapping) -> Trigger:
     if kind == "absolute":
         return AbsoluteTime(scalar(obj["time"], "trigger: time"))
     if kind == "relative":
-        return RelativeTo(str(obj["reference"]), scalar(obj["offset"], "trigger: offset"))
+        return RelativeTo(text(obj["reference"], "trigger: reference"),
+                          scalar(obj["offset"], "trigger: offset"))
     raise ScenarioError(f"unknown trigger type {kind!r}")
 
 
@@ -226,14 +230,16 @@ def _request_from_dict(obj: Mapping) -> Request:
     if kind == "start_application":
         override = obj.get("flavor_override")
         return StartApplication(
-            template=str(obj["template"]),
-            vm_id=str(obj["vm_id"]),
+            template=text(obj["template"], "request: template"),
+            vm_id=text(obj["vm_id"], "request: vm_id"),
             flavor_override=flavor_from_dict(override) if override else None,
         )
     if kind == "stop_application":
-        return StopApplication(target=str(obj["target"]))
+        return StopApplication(target=text(obj["target"], "request: target"))
     if kind == "reconfigure_optimisation_algorithm":
-        return ReconfigureOptimisationAlgorithm(algorithm=str(obj["algorithm"]))
+        return ReconfigureOptimisationAlgorithm(
+            algorithm=text(obj["algorithm"], "request: algorithm")
+        )
     if kind == "change_optimisation_interval":
         return ChangeOptimisationInterval(interval=scalar(obj["interval"], "request: interval"))
     raise ScenarioError(f"unknown request type {kind!r}")
@@ -267,27 +273,32 @@ def scenario_from_dict(
 ) -> ExperimentScenario:
     """Build and check a scenario. A malformed template or event is named,
     a template with the path its workload was read from if
-    ``workload_files`` has one, and an event that is not an object by its
-    index."""
+    ``workload_files`` has one, and an event that is not an object or has
+    no id by its index."""
     templates: dict[str, ApplicationTemplate] = {}
     for tid, raw in json_object(obj, "templates").items():
         try:
             templates[str(tid)] = ApplicationTemplate(
                 flavor=flavor_from_dict(raw["flavor"]),
                 workload=workload_from_dict(raw["workload"]),
-                parameters={str(k): str(v) for k, v in raw.get("parameters", {}).items()},
+                parameters={
+                    str(k): text(v, f"parameters: {k}")
+                    for k, v in raw.get("parameters", {}).items()
+                },
             )
         except MALFORMED as exc:
             raise malformed(f"template {tid!r}", exc, (workload_files or {}).get(tid)) from exc
     events = []
-    for raw in json_array(obj, "events"):
-        event_id = str(raw.get("id", "<missing id>"))
+    for index, raw in enumerate(json_array(obj, "events")):
         try:
-            trigger = _trigger_from_dict(raw.get("trigger", {}))
-            request = _request_from_dict(raw.get("request", {}))
+            events.append(TimelineEvent(
+                id=text(raw["id"], "id"),
+                trigger=_trigger_from_dict(raw.get("trigger", {})),
+                request=_request_from_dict(raw.get("request", {})),
+            ))
         except MALFORMED as exc:
-            raise malformed(f"event {event_id!r}", exc) from exc
-        events.append(TimelineEvent(id=event_id, trigger=trigger, request=request))
+            where = f"event {raw['id']!r}" if "id" in raw else f"events[{index}]"
+            raise malformed(where, exc) from exc
     scenario = ExperimentScenario(events=events, templates=templates)
     check_scenario(scenario, known_vm_ids)
     return scenario
@@ -298,20 +309,14 @@ def serialize_scenario(scenario: ExperimentScenario) -> str:
     return json_text(scenario_to_dict(scenario))
 
 
-def parse_scenario(text: str, known_vm_ids: Iterable[str] = ()) -> ExperimentScenario:
+def parse_scenario(source: str, known_vm_ids: Iterable[str] = ()) -> ExperimentScenario:
     """Parse and validate a scenario document.
 
     ``known_vm_ids`` lets stop requests target VMs that exist outside the
     scenario (the model's initial VMs); anything else must resolve inside
     the document.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"malformed JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    return scenario_from_dict(obj, known_vm_ids)
+    return scenario_from_dict(json_document(source, "scenario"), known_vm_ids)
 
 
 def load_scenario(path, known_vm_ids: Iterable[str] = ()) -> ExperimentScenario:
@@ -323,13 +328,7 @@ def load_scenario(path, known_vm_ids: Iterable[str] = ()) -> ExperimentScenario:
     """
     import os
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{path}: scenario must be a JSON object")
+    obj = read_json_document(path, "scenario")
     base = os.path.dirname(os.path.abspath(path))
     workload_files: dict[str, str] = {}
     for tid, raw in json_object(obj, "templates").items():

@@ -1,7 +1,8 @@
 """Mutable simulation state and the CPU/power bookkeeping that keeps it exact.
 
 The discrete-event engine owns a single ``SimulationState``. Adaptation
-enactment (``dcsim.correspondence``) mutates it through the methods here, so
+enactment (``dcsim.correspondence``) changes it only through the
+transitions here, and the engine hands each event to one of them, so
 every state change settles in-progress work first and re-records the
 utilization/power series at the instant of change. Power series therefore
 stay piecewise-constant with a point at every change, which makes energy
@@ -24,30 +25,25 @@ view read ``demand`` (still 0.0 on a VM that has never executed); readers
 take utilization and power from the last points of the series. The engine
 refreshes every host at t=0, before anything reads them.
 
-Each host also keeps three derived values. ``ServerRuntime.free_ram`` is
-re-derived with ``model.free_ram`` by ``_vm_ids_changed``, which every
-change of ``vm_ids`` calls: ``reserve``, ``start_migration`` (target),
-``finish_migration`` (source) and ``end_vm``. ``ServerRuntime.running``
-lists the VMs executing on the host (``host`` is the server, state
-in ``EXECUTING``) in ``vm_ids`` order, which breaks ties between
-simultaneous boundaries. ``_derive_running`` re-derives it by filtering
-``vm_ids``, never by appending, since VMs may start in another order; it
-runs from ``_vm_ids_changed``, from ``finish_boot`` once the VM is
-``RUNNING`` and from ``finish_migration`` for the target once the VM has
-moved. ``advance_host`` and ``refresh_host`` walk only it.
-``ServerRuntime.view`` caches the host's part of the runtime view
-(``sync_measurements`` fills it) and is cleared wherever the host or a VM it
-lists changes: by
-``_vm_ids_changed``, ``refresh_host``, ``start_migration`` (source) and the
-power actions of ``enact``. ``SimulationState.live_vms`` indexes the VMs not
-yet in a terminal state, in creation order.
+Each host lists the VMs it reserves RAM for, as objects in reservation
+order (``ServerRuntime.reserved``; two hosts list a migrating VM), and
+keeps three values derived from it: ``free_ram``, ``running`` (the VMs
+executing on the host, in ``reserved`` order, which breaks ties between
+simultaneous boundaries) and ``view`` (the host's part of the runtime view,
+which ``sync_measurements`` fills). ``_host_changed`` is their one writer:
+it re-derives the first two and drops the third, and every change to the
+host, its ``reserved`` list or the host or state of a VM on it calls it.
+``refresh_host`` drops ``view`` too, since utilization is part of it.
+``SimulationState.live_vms`` indexes the VMs not yet in a terminal state,
+in creation order.
 
 Boots and migrations carry ``VmRuntime.move_epoch``, so a superseded timer
 does nothing; a server has at most one power transition pending. Under
 processor sharing a host's next change is its earliest segment boundary, so
 each host keeps one boundary timer. ``refresh_host`` re-arms it for the
 earliest trace VM and bumps ``ServerRuntime.timer_epoch``, which makes the
-timer it replaces stale.
+timer it replaces stale. For the same reason each host keeps one settle
+instant, ``settled_at`` (see ``advance_host``).
 
 Each ``VmRuntime`` is also the VM's report entry: it keeps its lifecycle
 times and host history, and ``end_kind`` is derived from its ``state``.
@@ -153,7 +149,7 @@ class ActionEntry(NamedTuple):
     outcome: str
 
 
-@dataclass
+@dataclass(eq=False)
 class VmRuntime:
     id: str
     flavor: VmFlavor
@@ -173,7 +169,6 @@ class VmRuntime:
     seg_remaining: float = 0.0
     demand: float = 0.0  # work-units/s asked while executing; set by refresh_host
     granted_rate: float = 0.0
-    last_settle: float = 0.0
     move_epoch: int = 0  # invalidates pending boot/migration events
 
     @property
@@ -187,12 +182,13 @@ class ServerRuntime:
     spec: object  # ServerSpec
     power_state: str = POWER_ON
     pending_power: str | None = None
-    vm_ids: list[str] = field(default_factory=list)  # every VM reserving RAM here
-    running: list[VmRuntime] = field(default_factory=list)  # executing here, in vm_ids order
+    reserved: list[VmRuntime] = field(default_factory=list)  # reserving RAM here, in order
+    running: list[VmRuntime] = field(default_factory=list)  # executing here, in reserved order
     timer_epoch: int = 0  # invalidates the pending segment-boundary timer
+    settled_at: float = 0.0  # when advance_host last settled the running VMs' work
     util_points: list[tuple[float, float]] = field(default_factory=list)
     power_points: list[tuple[float, float]] = field(default_factory=list)
-    free_ram: float = field(init=False)  # RAM not reserved by a VM in vm_ids
+    free_ram: float = field(init=False)  # RAM not reserved by a VM in reserved
     view: tuple | None = None  # (ServerView, VmViews) cached by sync_measurements
 
     def __post_init__(self) -> None:
@@ -284,16 +280,23 @@ class SimulationState:
     # -- work settlement ----------------------------------------------------------
 
     def advance_host(self, server_id: str) -> None:
-        """Settle in-progress segment work on a host up to ``now``."""
-        now = self.now
-        for vm in self.servers[server_id].running:
-            dt = now - vm.last_settle
-            if dt > 0 and vm.app is None:
-                if vm.demand > 0:
-                    vm.seg_remaining -= vm.granted_rate * dt
-                else:
-                    vm.seg_remaining -= dt
-            vm.last_settle = now
+        """Settle in-progress segment work on a host up to ``now``.
+
+        Processor sharing serves every VM on the host at once, so the host
+        keeps one settle instant. That is exact because a VM joins
+        ``running`` only in ``finish_boot`` and ``finish_migration``, and
+        each of them first advances that host to ``now``.
+        """
+        server = self.servers[server_id]
+        dt = self.now - server.settled_at
+        if dt > 0:
+            for vm in server.running:
+                if vm.app is None:
+                    if vm.demand > 0:
+                        vm.seg_remaining -= vm.granted_rate * dt
+                    else:
+                        vm.seg_remaining -= dt
+        server.settled_at = self.now
 
     def refresh_host(self, server_id: str) -> None:
         """Re-derive demands and granted rates, re-arm the boundary timer,
@@ -328,7 +331,7 @@ class SimulationState:
                 continue
             else:
                 at = now + remaining / rate
-            if at < first_at:  # strict: a tie goes to the VM first in vm_ids order
+            if at < first_at:  # strict: a tie goes to the VM reserved first
                 first, first_at = vm, at
         if first is not None:
             last = first.seg_idx == len(first.workload.segments) - 1
@@ -406,11 +409,18 @@ class SimulationState:
         self.record_lifecycle(vm, "submitted")
         return vm
 
+    def create_instance(self, app: AppRuntime) -> VmRuntime:
+        """Create the tier's next instance for a scale-out, named
+        ``<tier>-iNNNN`` in commissioning order."""
+        vm_id = f"{app.id}-i{app.next_seq:04d}"
+        app.next_seq += 1
+        return self.create_vm(vm_id, app.flavor, app.load, Initiator.AUTOSCALER, app=app)
+
     def reserve(self, vm: VmRuntime, server_id: str) -> None:
         """Hold the VM's RAM on its host and register it with its tier."""
-        self.servers[server_id].vm_ids.append(vm.id)
-        self._vm_ids_changed(server_id)
+        self.servers[server_id].reserved.append(vm)
         vm.host = server_id
+        self._host_changed(server_id)
         vm.hosts.append((self.now, server_id))
         if vm.app is not None:
             vm.app.instance_ids.append(vm.id)
@@ -418,8 +428,8 @@ class SimulationState:
 
     def place_vm(self, vm: VmRuntime, server_id: str, boot_delay: float) -> None:
         """Reserve RAM now and schedule the boot completion."""
-        self.reserve(vm, server_id)
         vm.state = VmState.BOOTING
+        self.reserve(vm, server_id)
         vm.move_epoch += 1
         self.schedule(self.now + boot_delay, BOOT_FINISHED, (vm.id, vm.move_epoch))
 
@@ -428,7 +438,6 @@ class SimulationState:
         assert vm.host is not None
         self.advance_host(vm.host)
         vm.state = VmState.RUNNING
-        vm.last_settle = self.now
         vm.start_time = self.now
         self.record_lifecycle(vm, "started", host_id=vm.host)
         if vm.app is None:
@@ -436,7 +445,7 @@ class SimulationState:
                 self.end_vm(vm, VmState.COMPLETED)
                 return
             self.init_segment(vm)
-        self._derive_running(vm.host)
+        self._host_changed(vm.host)
         if vm.app is not None:
             self.recompute_app_demand(vm.app)
         self.refresh_host(vm.host)
@@ -458,11 +467,11 @@ class SimulationState:
 
     def start_migration(self, vm: VmRuntime, target_id: str) -> None:
         """Reserve RAM on the target and schedule the cutover."""
-        self.servers[target_id].vm_ids.append(vm.id)
-        self._vm_ids_changed(target_id)
-        self.servers[vm.host].view = None  # the VM is listed there as migrating
+        self.servers[target_id].reserved.append(vm)
         vm.migration_target = target_id
         vm.state = VmState.MIGRATING
+        self._host_changed(target_id)
+        self._host_changed(vm.host)
         vm.move_epoch += 1
         duration = vm.flavor.ram / self.config.migration_bandwidth
         self.schedule(self.now + duration, MIGRATION_FINISHED, (vm.id, vm.move_epoch))
@@ -476,16 +485,24 @@ class SimulationState:
         assert source is not None and target is not None
         self.advance_host(source)
         self.advance_host(target)
-        self.servers[source].vm_ids.remove(vm.id)
-        self._vm_ids_changed(source)
+        self.servers[source].reserved.remove(vm)
         vm.host = target
         vm.migration_target = None
         vm.state = VmState.RUNNING
-        self._derive_running(target)
+        self._host_changed(source)
+        self._host_changed(target)
         vm.hosts.append((self.now, target))
         self.record_lifecycle(vm, "migrated", host_id=target)
         self.refresh_host(source)
         self.refresh_host(target)
+
+    def start_power_transition(self, server_id: str, target: str) -> None:
+        """Begin powering the server on or off; it reaches ``target`` after
+        the configured latency."""
+        self.servers[server_id].pending_power = target
+        self._host_changed(server_id)  # usable() may change
+        self.schedule(self.now + self.config.power_transition_latency,
+                      POWER_TRANSITION_FINISHED, (server_id,))
 
     def finish_power_transition(self, server_id: str) -> None:
         """Power timer: the server reaches its pending power state."""
@@ -508,8 +525,8 @@ class SimulationState:
         touched = [h for h in (vm.host, vm.migration_target) if h is not None]
         for host in touched:
             self.advance_host(host)
-            self.servers[host].vm_ids.remove(vm.id)
-            self._vm_ids_changed(host)
+            self.servers[host].reserved.remove(vm)
+            self._host_changed(host)
         vm.host = None
         vm.migration_target = None
         vm.state = final_state
@@ -524,27 +541,19 @@ class SimulationState:
         for host in touched:
             self.refresh_host(host)
 
-    def _vm_ids_changed(self, server_id: str) -> None:
-        """Re-derive a host's free RAM and executing VMs after its ``vm_ids``
-        changed.
+    def _host_changed(self, server_id: str) -> None:
+        """Re-derive a host's free RAM and executing VMs and drop its cached
+        view: the one writer of all three, called after every change to the
+        host, its ``reserved`` list or the host or state of a VM on it.
 
-        Summing afresh, not adding or subtracting the one VM's RAM, keeps the
-        value bit-for-bit what a sum over ``vm_ids`` gives.
+        Summing afresh keeps ``free_ram`` bit-for-bit what a sum over
+        ``reserved`` gives; filtering, not appending, keeps ``running`` in
+        ``reserved`` order even when VMs start in another order, and that
+        order breaks boundary ties.
         """
         server = self.servers[server_id]
-        server.free_ram = free_ram(server.spec, [self.vms[v] for v in server.vm_ids])
-        server.view = None
-        self._derive_running(server_id)
-
-    def _derive_running(self, server_id: str) -> None:
-        """Re-derive a host's executing VMs by filtering its ``vm_ids``.
-
-        Filtering, not appending, keeps them in ``vm_ids`` order even when
-        VMs start in another order: the order breaks boundary ties.
-        """
-        server = self.servers[server_id]
+        server.free_ram = free_ram(server.spec, server.reserved)
         server.running = [
-            vm
-            for vm in (self.vms[v] for v in server.vm_ids)
-            if vm.host == server_id and vm.state in EXECUTING
+            vm for vm in server.reserved if vm.host == server_id and vm.state in EXECUTING
         ]
+        server.view = None

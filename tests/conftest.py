@@ -101,5 +101,5 @@ def pump(engine, until: float) -> None:
             heapq.heappush(engine.sim._queue, event)
             break
         engine.sim.now = event.time
-        engine.handlers[event.kind](event.payload)
+        engine.handlers[event.kind](*event.payload)
     engine.sim.now = until

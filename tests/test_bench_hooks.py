@@ -1,11 +1,13 @@
-"""The benchmark's span hooks still reach the program, and its inputs load.
+"""The benchmark's span hooks still reach the program, its inputs load, and
+its rounds write the bytes they wrote before.
 
 ``bench/spans.instrument`` wraps program functions where their callers look
 them up by name. A rename or a changed call path in ``src`` would leave a
 wrapper that is never called; this test fails on that, instead of only a
 traced benchmark run (``bench/run.py --trace 1``) showing a zero count.
 Likewise an input rule that refused a document ``bench/inputs.py`` writes
-fails here, not in a benchmark run.
+fails here, not in a benchmark run, and a change that moves a byte of a
+round's outputs fails here, not only in a benchmark run's digest.
 """
 
 from __future__ import annotations
@@ -112,3 +114,29 @@ def test_bench_inputs_load(bench_inputs, tmp_path, workload, size):
     engine_mod.SimConfig(**config["sim"])
     for algorithms in config["algorithms"]:
         AlgorithmConfig.from_dict(algorithms)
+
+
+#: SHA-256 (``workloads.digest``) of one untraced round's outputs per workload,
+#: on the seed-1 inputs of the given size.
+ROUND_DIGESTS = [
+    ("batch-fleet", 4, "9e2f55bbcb6e98d7f61715e993cc7e15b65494959f4d661bcecf43a0973b2c42"),
+    ("autoscale-tiers", 1, "18e9d6a07c11f8fa97d2ceaf1f83b740e46bb236b632fd308ae9dcc9d691e2d8"),
+    ("trace-roundtrip", 10, "40ee66ce52242e9b6dc8001af43111ef17ff40a9511deb360fe7f4465ce2e168"),
+]
+
+
+@pytest.mark.parametrize("workload, size, sha256", ROUND_DIGESTS,
+                         ids=[workload for workload, _, _ in ROUND_DIGESTS])
+def test_bench_round_bytes(bench_inputs, tmp_path, workload, size, sha256):
+    """A round of each workload, run as the benchmark runs it, writes
+    exactly the pinned bytes: reports, extracted scenario and power fits."""
+    import run
+    import workloads
+
+    inputs_dir = str(tmp_path / "inputs")
+    bench_inputs.generate(workload, 1, size, inputs_dir)
+    if workload == "trace-roundtrip":
+        run._source_run(inputs_dir)
+    out = str(tmp_path / "out")
+    workloads.ROUNDS[workload](workloads.Round(None, out), inputs_dir)
+    assert workloads.digest(out) == sha256

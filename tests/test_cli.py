@@ -1,5 +1,6 @@
 import collections
 import csv
+import inspect
 import json
 import math
 import os
@@ -169,6 +170,24 @@ class TestSimulate:
         ("scenario", ("events", 0, "request"),
          {"type": "change_optimisation_interval", "interval": "60"},
          "event 'e1': request: interval must be a number, got '60'"),
+        ("model", ("servers", 0, "power_model_id"), None,
+         "server s1: power_model_id must be a string, got None"),
+        ("model", ("servers", 0, "id"), 7, "server 7: id must be a string, got 7"),
+        ("model", ("initial_vms",), [dict(VM_V1, host=1)], "vm v1: host must be a string, got 1"),
+        ("model", ("power_models", "pm", "family"), 1,
+         "power model pm: family must be a string, got 1"),
+        ("model", ("initial_power_states",), {"s1": False},
+         "initial power state for s1 must be a string, got False"),
+        ("scenario", ("templates", "tpl", "parameters"), {"owner": 5},
+         "template 'tpl': parameters: owner must be a string, got 5"),
+        ("scenario", ("events", 0, "request", "vm_id"), 5,
+         "event 'e1': request: vm_id must be a string, got 5"),
+        ("scenario", ("events", 0, "request", "template"), None,
+         "event 'e1': request: template must be a string, got None"),
+        ("scenario", ("events", 1, "trigger", "reference"), 5,
+         "event 'e2': trigger: reference must be a string, got 5"),
+        ("scenario", ("events", 1, "request", "target"), None,
+         "event 'e2': request: target must be a string, got None"),
     ])
     def test_malformed_value_names_entity(self, inputs, capsys, document, path, value,
                                           entity):
@@ -262,8 +281,12 @@ class TestSimulate:
         ("model", lambda doc: doc.update(servers=[1]), "servers[0] must be a JSON object"),
         ("model", lambda doc: doc.update(initial_vms=[dict(
             VM_V1, workload={"kind": "blackbox_trace", "segments": [[1.0]]})]), "vm v1: "),
+        ("scenario", lambda doc: doc["events"][0].pop("id"), "events[0]: missing key 'id'"),
+        ("scenario", lambda doc: doc["events"][1].update(id=["e2"]),
+         "event ['e2']: id must be a string, got ['e2']"),
     ], ids=["templates-list", "template-int", "workload-file-int", "events-int", "event-int",
-            "server-without-cores", "server-int", "segment-one-number"])
+            "server-without-cores", "server-int", "segment-one-number", "event-without-id",
+            "event-list-id"])
     def test_malformed_shape_names_entity(self, inputs, capsys, document, mutate, message):
         tmp_path, model, scenario = inputs
         target = model if document == "model" else scenario
@@ -347,6 +370,28 @@ class TestExtract:
         assert code == 2
         assert "model does not validate: server s1" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "x.json")
+
+    def test_left_out_resample_is_the_library_default(self, inputs):
+        from dcsim.extraction import extract_scenario
+
+        tmp_path, model, scenario = inputs
+        out = str(tmp_path / "run")
+        assert main(simulate_args(model, scenario, out)) == 0
+        default = inspect.signature(extract_scenario).parameters["resample_interval"].default
+        written = []
+        for name, extra in (("left-out", []), ("given", ["--resample", str(default)])):
+            os.makedirs(tmp_path / name)
+            assert main([
+                "extract", "--metrics", os.path.join(out, "metrics.csv"),
+                "--events", os.path.join(out, "lifecycle.csv"), "--model", model,
+                "--from", "0", "--to", "5400", "--out", str(tmp_path / name / "s.json"),
+            ] + extra) == 0
+            written.append({
+                path.relative_to(tmp_path / name): path.read_bytes()
+                for path in (tmp_path / name).rglob("*") if path.is_file()
+            })
+        assert written[0] == written[1]
+        assert len(written[0]) == 2
 
     def test_reversed_window_exits_2(self, inputs):
         tmp_path, model, _ = inputs
@@ -469,6 +514,19 @@ class TestCompare:
         a = self._config(tmp_path, "a.json", model, scenario, {})
         assert main(["compare", "--config", a]) == 2
 
+    def test_left_out_seed_is_the_sim_config_default(self, inputs):
+        from dcsim.engine import SimConfig
+
+        tmp_path, model, scenario = inputs
+        a = self._config(tmp_path, "a.json", model, scenario, {})
+        b = self._config(tmp_path, "b.json", model, scenario, {"optimizer": "consolidation"})
+        written = []
+        for name, extra in (("left-out", []), ("given", ["--seed", str(SimConfig.seed)])):
+            out = tmp_path / f"{name}.json"
+            assert main(["compare", "--config", a, "--config", b, "--out", str(out)] + extra) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     def test_shared_inputs_load_once(self, inputs, monkeypatch):
         import dcsim.cli as cli
 
@@ -507,21 +565,27 @@ class TestCompare:
     ("compare", {"model": None}, "missing key 'model'"),
     ("compare", {"scenario": None}, "missing key 'scenario'"),
     ("simulate", None, "Is a directory"),
+    ("simulate", "{", "malformed JSON: Expecting property name"),
+    ("simulate", "[1, 2]", "data center model must be a JSON object"),
 ], ids=["algo-unknown-key", "algo-unknown-react-key", "algo-fractional-spares",
         "algo-fractional-reg-window", "algo-string-power-manager", "algo-bool-spares",
         "algo-null-optimizer", "compare-unknown-key", "compare-unknown-react-key",
         "compare-fractional-spares", "compare-unknown-sim-key", "compare-string-end-time",
         "compare-bool-end-time", "compare-sim-seed", "compare-no-model", "compare-no-scenario",
-        "model-directory"])
+        "model-directory", "model-malformed-json", "model-not-object"])
 def test_malformed_config_names_file(inputs, capsys, command, config, message):
     """A config file that the simulator cannot run, or a model path it
     cannot read, exits 2 and names the file; a ``None`` value drops that key
-    from a compare config, and a ``None`` config makes the file a directory
-    that is given as ``--model``."""
+    from a compare config, a ``None`` config makes the file a directory that
+    is given as ``--model``, and a string config is the text of the file
+    given as ``--model``."""
     tmp_path, model, scenario = inputs
     bad = tmp_path / "bad.json"
-    if config is None:
-        bad.mkdir()
+    if config is None or isinstance(config, str):
+        if config is None:
+            bad.mkdir()
+        else:
+            bad.write_text(config)
         args = simulate_args(str(bad), scenario, str(tmp_path / "out"))
     elif command == "simulate":
         bad.write_text(json.dumps(config))

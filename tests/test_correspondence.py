@@ -166,7 +166,7 @@ class TestRejectedState:
         harness.sim.placement_fn = lambda snapshot, flavor: "s1"
         assert enact(ScaleOut("web"), harness.sim) == Rejected("no feasible server")
         assert harness.sim.vms["web-i0001"].state is VmState.REJECTED
-        assert harness.sim.servers["s1"].vm_ids == ["web"]
+        assert [vm.id for vm in harness.sim.servers["s1"].reserved] == ["web"]
         assert harness.sim.servers["s1"].free_ram == 0.0
         assert harness.sim.apps["web"].instance_ids == ["web"]
 

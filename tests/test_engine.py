@@ -268,7 +268,7 @@ class TestHostTimer:
 
     def test_vm_order_holds_when_boot_order_differs(self):
         # "late" is placed on s2 first but boots after "mover" migrates in,
-        # so starting order is mover, late while vm_ids order is late, mover
+        # so starting order is mover, late while reservation order is late, mover
         from dcsim.correspondence import Migrate, enact
         from tests.conftest import make_harness, pump
 
@@ -291,10 +291,10 @@ class TestHostTimer:
         pump(harness, 20.0)
         assert [vm.id for vm in sim.servers["s2"].running] == ["mover"]
         pump(harness, 40.0)
-        assert sim.servers["s2"].vm_ids == ["late", "mover"]
+        assert [vm.id for vm in sim.servers["s2"].reserved] == ["late", "mover"]
         assert [vm.id for vm in sim.servers["s2"].running] == ["late", "mover"]
         pump(harness, 200.0)
-        # both reach t=100 and t=150 together; each tie goes to vm_ids order
+        # both reach t=100 and t=150 together; each tie goes to reservation order
         done = [(a.time, a.subject) for a in sim.action_log if a.action == "complete"]
         assert done == [(150.0, "late"), (150.0, "mover")]
 
@@ -348,8 +348,8 @@ def _after_every_event(engine: _Engine, check) -> dict[str, int]:
     popped: dict[str, int] = {}
 
     def checked(kind, handler):
-        def run_then_check(payload):
-            handler(payload)
+        def run_then_check(*payload):
+            handler(*payload)
             popped[kind] = popped.get(kind, 0) + 1
             check(kind)
         return run_then_check
@@ -360,10 +360,9 @@ def _after_every_event(engine: _Engine, check) -> dict[str, int]:
 
 
 def _executing(sim, server_id):
-    """The VMs executing on a host, filtered from its ``vm_ids``."""
-    vms = (sim.vms[vm_id] for vm_id in sim.servers[server_id].vm_ids)
+    """The VMs executing on a host, filtered from its ``reserved`` list."""
     return [
-        vm for vm in vms
+        vm for vm in sim.servers[server_id].reserved
         if vm.host == server_id and vm.state in (VmState.RUNNING, VmState.MIGRATING)
     ]
 
@@ -411,10 +410,11 @@ def test_host_load_matches_recomputation_after_every_event():
 
 
 def test_kept_view_free_ram_and_live_index_match_a_rebuild_after_every_event():
-    """Each host's cached runtime view, its kept free RAM and executing VMs,
-    each executing VM's kept demand, and the live-VM index must equal a
-    from-scratch build from ``servers``, ``vm_ids`` and ``vms`` after every
-    event."""
+    """Each host's membership, cached runtime view, kept free RAM and
+    executing VMs, each executing VM's kept demand, and the live-VM index
+    must equal a from-scratch build from ``servers``, ``reserved`` and
+    ``vms`` after every event. A host is settled no later than ``now`` and
+    no earlier than the moment its last executing VM joined it."""
     from dcsim.correspondence import ServerView, VmView, sync_measurements
     from dcsim.model import POWER_OFF, POWER_ON, TERMINAL_STATES
 
@@ -424,7 +424,20 @@ def test_kept_view_free_ram_and_live_index_match_a_rebuild_after_every_event():
     def check(kind):
         servers, vms = [], []
         for server_id, server in sim.servers.items():
-            used = sum(sim.vms[vm_id].flavor.ram for vm_id in server.vm_ids)
+            members = {
+                vm.id for vm in sim.live_vms.values()
+                if server_id in (vm.host, vm.migration_target)
+            }
+            assert {vm.id for vm in server.reserved} == members, (kind, server_id)
+            assert len(server.reserved) == len(members), (kind, server_id)
+            assert all(
+                vm.state not in TERMINAL_STATES and vm.state is not VmState.PENDING
+                for vm in server.reserved
+            ), (kind, server_id)
+            assert server.settled_at <= sim.now, (kind, server_id)
+            for vm in server.running:  # settled since the VM joined the host
+                assert server.settled_at >= max(vm.start_time, vm.hosts[-1][0]), (kind, vm.id)
+            used = sum(vm.flavor.ram for vm in server.reserved)
             assert server.free_ram == server.spec.ram_capacity - used, (kind, server_id)
             executing = _executing(sim, server_id)
             assert [vm.id for vm in server.running] == [vm.id for vm in executing], (
@@ -438,7 +451,7 @@ def test_kept_view_free_ram_and_live_index_match_a_rebuild_after_every_event():
             ))
             vms += [
                 VmView(vm.id, vm.flavor, server_id, vm.state, _demand(vm))
-                for vm in (sim.vms[vm_id] for vm_id in server.vm_ids)
+                for vm in server.reserved
                 if vm.host == server_id
             ]
         snapshot = sync_measurements(sim)
