@@ -22,7 +22,8 @@ import logging
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
+from typing import TYPE_CHECKING
 
 from . import engine as engine_mod
 from . import report as report_mod
@@ -31,13 +32,6 @@ from .algorithms import (
     OPTIMIZER_ALGORITHMS,
     PLACEMENT_ALGORITHMS,
     AlgorithmConfig,
-)
-from .extraction import (
-    MeasurementStore,
-    clean_power_training_data,
-    extract_scenario,
-    fit_power_model,
-    ingest_measurements,
 )
 from .model import (
     MALFORMED,
@@ -52,6 +46,9 @@ from .model import (
     write_json,
 )
 from .scenario import load_scenario, scenario_to_dict
+
+if TYPE_CHECKING:  # numpy comes with extraction; only extract and fit-power import it
+    from .extraction import MeasurementStore
 
 log = logging.getLogger("dcsim.cli")
 
@@ -125,13 +122,12 @@ def _check_window(args) -> None:
 
 
 def _window_store(store: MeasurementStore, t0: float, t1: float) -> MeasurementStore:
-    return MeasurementStore(
-        metrics=[m for m in store.metrics if t0 <= m.time <= t1],
-        lifecycle=store.lifecycle,
-    )
+    return replace(store, metrics=[m for m in store.metrics if t0 <= m.time <= t1])
 
 
 def cmd_extract(args) -> int:
+    from .extraction import extract_scenario, ingest_measurements
+
     _check_window(args)
     model = load_model(args.model)
     problems = validate(model)
@@ -176,6 +172,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_fit_power(args) -> int:
+    from .extraction import clean_power_training_data, fit_power_model, ingest_measurements
+
     family, degree = _parse_family(args.family)
     _check_window(args)
     store = ingest_measurements(args.metrics, args.events)

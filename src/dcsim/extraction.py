@@ -463,118 +463,111 @@ def _fit_polynomial(u: np.ndarray, p: np.ndarray, degree: int) -> np.ndarray:
     return coeffs
 
 
-def _cubic_columns(u: np.ndarray) -> np.ndarray:
-    """The columns u, u**2, u**3 and 1 that every design matrix and Jacobian
-    of one exponential fit starts with."""
-    return np.column_stack([u, u**2, u**3, np.ones_like(u)])
-
-
-def _exp_residual_jacobian(
-    theta: np.ndarray, u: np.ndarray, cubic: np.ndarray, p: np.ndarray
-):
-    c0, c1, c2, c3, a, b = theta.tolist()
-    eb = np.exp(np.minimum(np.maximum(b * u, -700.0), 700.0))  # cannot overflow
-    jac = np.empty((len(u), 6))
-    jac[:, :4] = cubic
-    jac[:, 4] = eb - 1.0
-    jac[:, 5] = a * u * eb
-    prediction = c0 * u + c1 * cubic[:, 1] + c2 * cubic[:, 2] + c3 + a * jac[:, 4]
-    residual = prediction - p
-    return residual, jac
-
-
-def _linear_fit_given_slope(
-    u: np.ndarray, cubic: np.ndarray, p: np.ndarray, b: float
-) -> tuple[np.ndarray, float]:
-    """Exact least squares for the five linear coefficients at a fixed b."""
-    design = np.empty((len(u), 5))
-    design[:, :4] = cubic
-    design[:, 4] = np.exp(np.minimum(np.maximum(b * u, -700.0), 700.0)) - 1.0
-    coeffs, _, _, _ = np.linalg.lstsq(design, p, rcond=None)
-    residual = design @ coeffs - p
-    return coeffs, float(residual @ residual)
+#: Largest |b| searched: ``math.exp(b * u)`` stays finite for u in [0, 1].
+SLOPE_LIMIT = 700.0
+#: A doubling of |b| past the grid continues only while it lowers the
+#: projected RSS by more than this relative amount.
+DOUBLING_TOLERANCE = 1e-4
+#: A slope is not taken where projecting the cubic columns out leaves less
+#: than this fraction of the exponential column's norm. That is far above
+#: the projection's rounding (about 1e-13), so the search and the final
+#: least-squares solve agree at every slope the search takes.
+SPANNED = 1e-8
 
 
 def _fit_exponential(
     u: np.ndarray, p: np.ndarray, max_iterations: int = 10_000
 ) -> tuple[np.ndarray, bool, int]:
-    """Iterative least squares for the cubic-plus-exponential family.
+    """Least squares for the cubic-plus-exponential family by variable
+    projection (Golub & Pereyra 1973).
 
-    The model is linear in everything but the exponential slope, so each
-    candidate slope starts from the polynomial fit with the amplitude solved
-    exactly by least squares (zero when the data has no exponential
-    component). The slope is refined by golden-section search on the
-    projected residual, then a damped Gauss-Newton pass polishes all six
-    coefficients, shrinking the step whenever the residual norm would grow.
-    Terminates once the relative residual improvement drops below 1e-9 or
-    the iteration cap is reached.
+    At a fixed slope b the model is linear in its other five coefficients,
+    so the search runs over b alone. Its objective is the RSS left once the
+    cubic columns and the exponential column, scaled to a largest absolute
+    value of 1, are projected out. The search:
+
+    - evaluates the 96 nonzero slopes of a grid over [-24, 24];
+    - when the best is an edge and its RSS is above 1e-22, doubles |b|, up
+      to ``SLOPE_LIMIT``, while each doubling lowers the RSS by more than
+      ``DOUBLING_TOLERANCE`` relative;
+    - narrows the final bracket to 1e-12 by golden-section search;
+    - takes the six coefficients from one least-squares solve at the best
+      slope found.
+
+    ``iterations`` counts RSS evaluations. The fit has not converged when
+    it reaches ``max_iterations``, or when the slope found is within the
+    tolerance of one the search may not take: of ``SLOPE_LIMIT`` while the
+    last doubling still lowered the RSS by more than the tolerance, or of a
+    slope where the cubic spans the exponential (``SPANNED``). The data then
+    asks for a steeper exponential than the family can represent.
     """
-    iterations = 0
-    cubic = _cubic_columns(u)
+    cubic = np.column_stack([u, u**2, u**3, np.ones_like(u)])
+    projector = np.eye(len(u)) - cubic @ np.linalg.lstsq(cubic, np.eye(len(u)), rcond=None)[0]
+    p_rest = projector @ p
 
-    grid = [b for b in np.linspace(-24.0, 24.0, 97) if abs(b) > 1e-9]
-    best_b = grid[0]
-    best_rss = np.inf
-    for b in grid:
-        iterations += 1
-        _, rss = _linear_fit_given_slope(u, cubic, p, b)
-        if rss < best_rss:
-            best_rss, best_b = rss, b
+    def rss(slopes: np.ndarray) -> np.ndarray:
+        columns = np.expm1(np.outer(u, slopes))
+        columns /= np.abs(columns).max(axis=0)
+        e_rest = projector @ columns
+        norms = np.einsum("ij,ij->j", e_rest, e_rest)
+        spanned = norms <= SPANNED**2 * np.einsum("ij,ij->j", columns, columns)
+        amplitude = np.divide(p_rest @ e_rest, norms, out=np.zeros_like(norms), where=~spanned)
+        residual = p_rest[:, None] - e_rest * amplitude
+        return np.where(spanned, np.inf, np.einsum("ij,ij->j", residual, residual))
 
-    step = grid[1] - grid[0]
-    lo, hi = best_b - step, best_b + step
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    grid = np.linspace(-24.0, 24.0, 97)
+    grid = grid[np.abs(grid) > 1e-9]
+    grid_rss = rss(grid)
+    iterations = len(grid)
+    best = int(np.argmin(grid_rss))
+    # The rest of the search stays on the best slope's side of zero and runs
+    # over t = |b|, so the far end of a bracket is always the steeper one.
+    sign = math.copysign(1.0, grid[best])
+    best_t, best_rss = abs(float(grid[best])), float(grid_rss[best])
+    step = float(grid[1] - grid[0])
+    lo, hi = best_t - step, best_t + step
+
+    def rss_at(t: float) -> float:
+        return float(rss(np.array([sign * t]))[0])
+
+    falling = False
+    if best_t == 24.0 and best_rss > 1e-22:
+        while best_t < SLOPE_LIMIT:
+            hi = min(2.0 * best_t, SLOPE_LIMIT)
+            hi_rss = rss_at(hi)
+            iterations += 1
+            falling = hi_rss < best_rss * (1.0 - DOUBLING_TOLERANCE)
+            if not falling:
+                break
+            lo, best_t, best_rss = best_t, hi, hi_rss
+
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
     x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
-    f1 = _linear_fit_given_slope(u, cubic, p, x1)[1]
-    f2 = _linear_fit_given_slope(u, cubic, p, x2)[1]
-    while hi - lo > 1e-12 and iterations < max_iterations // 2:
+    f1, f2 = rss_at(x1), rss_at(x2)
+    iterations += 2
+    while hi - lo > 1e-12 and iterations < max_iterations:
         iterations += 1
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - golden * (hi - lo)
-            f1 = _linear_fit_given_slope(u, cubic, p, x1)[1]
+            f1 = rss_at(x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + golden * (hi - lo)
-            f2 = _linear_fit_given_slope(u, cubic, p, x2)[1]
-    b_star = (lo + hi) / 2.0
-    linear, rss = _linear_fit_given_slope(u, cubic, p, b_star)
-    theta = np.array([*linear, b_star], dtype=float)
+            f2 = rss_at(x2)
+    t_star = x1 if f1 <= f2 else x2
+    b_star = sign * t_star
+    # A slope steeper by the tolerance is one the search may not take: past
+    # the limit, while the RSS still fell, or spanned by the cubic.
+    steeper = t_star * (1.0 + DOUBLING_TOLERANCE)
+    at_edge = (falling and steeper > SLOPE_LIMIT) or math.isinf(rss_at(min(steeper, SLOPE_LIMIT)))
+    iterations += 1
 
-    # Damped Gauss-Newton polish on all six coefficients. An accepted step's
-    # residual and Jacobian are the next iteration's.
-    lam = 1e-6
-    converged = False
-    residual, jac = _exp_residual_jacobian(theta, u, cubic, p)
-    while iterations < max_iterations:
-        iterations += 1
-        gradient = jac.T @ residual
-        hessian = jac.T @ jac
-        scale = np.maximum(hessian.diagonal(), 1e-12)
-        improvement = 0.0
-        stepped = False
-        for _ in range(50):
-            try:
-                delta = np.linalg.solve(hessian + np.diag(lam * scale), -gradient)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            candidate = theta + delta
-            cand_residual, cand_jac = _exp_residual_jacobian(candidate, u, cubic, p)
-            cand_rss = float(cand_residual @ cand_residual)
-            if math.isfinite(cand_rss) and cand_rss <= rss:
-                improvement = rss - cand_rss
-                theta, rss = candidate, cand_rss
-                residual, jac = cand_residual, cand_jac
-                lam = max(lam * 0.3, 1e-14)
-                stepped = True
-                break
-            lam *= 10.0
-            if lam > 1e14:
-                break
-        if not stepped or rss <= 1e-22 or improvement <= 1e-9 * max(rss, 1e-300):
-            converged = True
-            break
+    column = np.expm1(b_star * u)
+    scale = float(np.abs(column).max())
+    coeffs = np.linalg.lstsq(np.column_stack([cubic, column / scale]), p, rcond=None)[0]
+    theta = np.array([*coeffs[:4], coeffs[4] / scale, b_star])
+    converged = hi - lo <= 1e-12 and not at_edge
     return theta, converged, iterations
 
 
@@ -589,6 +582,9 @@ def fit_power_model(
     """
     u = np.asarray([x for x, _ in pairs], dtype=float)
     p = np.asarray([y for _, y in pairs], dtype=float)
+    outside = u[~((u >= 0.0) & (u <= 1.0))]
+    if outside.size:  # eval_power's rule, checked before the slope search can overflow
+        raise ValueError(f"utilization must be in [0, 1], got {outside[0]}")
     if family == POLYNOMIAL:
         coeffs = _fit_polynomial(u, p, degree)
         model = PowerModel(POLYNOMIAL, tuple(float(c) for c in coeffs))
@@ -604,7 +600,7 @@ def fit_power_model(
             POLYNOMIAL_PLUS_EXPONENTIAL, tuple(float(c) for c in theta)
         )
         if not converged:
-            log.warning("power model fit did not converge; returning best iterate")
+            log.warning("power model fit did not converge; returning the best slope found")
     else:
         raise ValueError(f"unknown power model family {family!r}")
     residuals = np.array([eval_power(model, x) - y for (x, y) in pairs])

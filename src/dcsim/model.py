@@ -162,6 +162,13 @@ class PowerModel:
             errs.append(f"unknown power model family {self.family!r}")
         if not all(math.isfinite(c) for c in self.coefficients):
             errs.append(f"coefficients must be finite, got {list(self.coefficients)}")
+        if not errs:
+            try:
+                peak = eval_power(self, 1.0)
+            except OverflowError:
+                peak = math.inf
+            if not math.isfinite(peak):
+                errs.append(f"power at utilization 1 must be finite, got {peak}")
         return errs
 
 
@@ -515,11 +522,12 @@ def model_from_dict(obj: Mapping) -> DataCenterModel:
     named as ``scenario_from_dict`` names a template or event."""
     reject_unknown(obj, _MODEL_KEYS, "data center model")
     servers = []
-    for raw in json_array(obj, "servers"):
+    for index, raw in enumerate(json_array(obj, "servers")):
         try:
             servers.append(server_from_dict(raw))
         except MALFORMED as exc:
-            raise malformed(f"server {raw.get('id')}", exc) from exc
+            where = f"server {raw['id']}" if "id" in raw else f"servers[{index}]"
+            raise malformed(where, exc) from exc
     power_models = {}
     for pm_id, raw in json_object(obj, "power_models").items():
         try:
@@ -527,11 +535,12 @@ def model_from_dict(obj: Mapping) -> DataCenterModel:
         except MALFORMED as exc:
             raise malformed(f"power model {pm_id}", exc) from exc
     initial_vms = []
-    for raw in json_array(obj, "initial_vms"):
+    for index, raw in enumerate(json_array(obj, "initial_vms")):
         try:
             initial_vms.append(vm_from_dict(raw))
         except MALFORMED as exc:
-            raise malformed(f"vm {raw.get('id')}", exc) from exc
+            where = f"vm {raw['id']}" if "id" in raw else f"initial_vms[{index}]"
+            raise malformed(where, exc) from exc
     power_states = {
         str(k): text(v, f"initial power state for {k}")
         for k, v in json_object(obj, "initial_power_states").items()

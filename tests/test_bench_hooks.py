@@ -121,7 +121,7 @@ def test_bench_inputs_load(bench_inputs, tmp_path, workload, size):
 ROUND_DIGESTS = [
     ("batch-fleet", 4, "9e2f55bbcb6e98d7f61715e993cc7e15b65494959f4d661bcecf43a0973b2c42"),
     ("autoscale-tiers", 1, "18e9d6a07c11f8fa97d2ceaf1f83b740e46bb236b632fd308ae9dcc9d691e2d8"),
-    ("trace-roundtrip", 10, "40ee66ce52242e9b6dc8001af43111ef17ff40a9511deb360fe7f4465ce2e168"),
+    ("trace-roundtrip", 10, "ce3c424ae874b473ce6a72046bd18bb61780129dc6a920cc724a87d20aaebcdf"),
 ]
 
 

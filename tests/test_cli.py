@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -188,6 +190,10 @@ class TestSimulate:
          "event 'e2': trigger: reference must be a string, got 5"),
         ("scenario", ("events", 1, "request", "target"), None,
          "event 'e2': request: target must be a string, got None"),
+        ("model", ("power_models", "pm"),
+         {"family": "polynomial_plus_exponential",
+          "coefficients": [50.0, 10.0, 5.0, 80.0, 1e-300, 1269.0]},
+         "power model pm: power at utilization 1 must be finite, got inf"),
     ])
     def test_malformed_value_names_entity(self, inputs, capsys, document, path, value,
                                           entity):
@@ -284,9 +290,13 @@ class TestSimulate:
         ("scenario", lambda doc: doc["events"][0].pop("id"), "events[0]: missing key 'id'"),
         ("scenario", lambda doc: doc["events"][1].update(id=["e2"]),
          "event ['e2']: id must be a string, got ['e2']"),
+        ("model", lambda doc: doc["servers"][1].pop("id"), "servers[1]: missing key 'id'"),
+        ("model", lambda doc: doc.update(initial_vms=[
+            VM_V1, {key: value for key, value in VM_V1.items() if key != "id"}]),
+         "initial_vms[1]: missing key 'id'"),
     ], ids=["templates-list", "template-int", "workload-file-int", "events-int", "event-int",
             "server-without-cores", "server-int", "segment-one-number", "event-without-id",
-            "event-list-id"])
+            "event-list-id", "server-without-id", "vm-without-id"])
     def test_malformed_shape_names_entity(self, inputs, capsys, document, mutate, message):
         tmp_path, model, scenario = inputs
         target = model if document == "model" else scenario
@@ -604,6 +614,16 @@ def test_malformed_config_names_file(inputs, capsys, command, config, message):
     assert str(bad) in err and message in err
 
 
+def test_cli_import_leaves_numpy_out():
+    """``simulate``, ``compare`` and ``report-error`` run without numpy: only
+    ``extract`` and ``fit-power`` import the extraction module."""
+    src = os.path.dirname(os.path.dirname(inspect.getfile(main)))
+    subprocess.run(
+        [sys.executable, "-c", "import dcsim.cli, sys; assert 'numpy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+
+
 def test_report_error_prints_table_format(capsys):
     assert main(["report-error", "--measured", "5443", "--predicted", "5464"]) == 0
     assert capsys.readouterr().out.strip() == "0.39%"
@@ -801,7 +821,7 @@ def test_simulate_reports_are_pinned(tmp_path):
 #: sha256 of the scenarios, workload files and power models that
 #: ``test_extract_outputs_are_pinned`` writes. Only a change that declares a
 #: behaviour change may update it.
-PINNED_EXTRACT_SHA256 = "48376dc7ca0bb7934773e3a84937c04f1addef14d04e9d2bb62cb79480098d59"
+PINNED_EXTRACT_SHA256 = "f66bc7026d0f29978741e7f725e3de018af63e2057b4aa5eb4747d9ac93b0574"
 
 
 def test_extract_outputs_are_pinned(tmp_path, capsys):

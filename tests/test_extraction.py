@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from dcsim.algorithms import AlgorithmConfig
 from dcsim.cli import main
 from dcsim.engine import SimConfig, run
 from dcsim.extraction import (
+    SLOPE_LIMIT,
     FitResult,
     IngestError,
     MeasurementStore,
@@ -527,6 +529,154 @@ class TestFitting:
         assert isinstance(fit, FitResult)
         assert fit.samples == 101
         assert fit.rms <= 1e-9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("spike_at", [0, -1], ids=["low-end", "high-end"])
+    def test_steep_spike_is_not_converged_and_stays_finite(self, spike_at):
+        """A line with +0.5 W on one end pair asks for an ever steeper
+        exponential. On u = 0..0.1 the search stops at the slope limit, on
+        u = 0.3..0.9 (no idle bin) where the cubic columns span the
+        exponential; either way within 200 evaluations, not converged, and
+        with a model that stays finite on [0, 1]."""
+        us = [i / 200 for i in range(21)] if spike_at else [0.3 + i / 100 for i in range(61)]
+        pairs = [(u, 80.0 + 50.0 * u) for u in us]
+        pairs[spike_at] = (pairs[spike_at][0], pairs[spike_at][1] + 0.5)
+        fit = fit_power_model(pairs, POLYNOMIAL_PLUS_EXPONENTIAL)
+        assert fit.iterations <= 200
+        assert abs(fit.model.coefficients[5]) <= SLOPE_LIMIT
+        assert fit.converged is False
+        assert fit.model.check() == []
+        assert math.isfinite(eval_power(fit.model, 0.0))
+        assert math.isfinite(eval_power(fit.model, 1.0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("family", [POLYNOMIAL, POLYNOMIAL_PLUS_EXPONENTIAL])
+    def test_utilization_outside_unit_interval_refused(self, family):
+        pairs = [(i / 10, 80.0 + 5.0 * i) for i in range(16)]
+        pairs[-1] = (1.5, 155.5)
+        with pytest.raises(ValueError, match=r"utilization must be in \[0, 1\], got 1.1"):
+            fit_power_model(pairs, family)
+
+    def test_no_worse_than_the_gauss_newton_polish(self):
+        """On seeded noisy binned cubics, wherever the grid, golden-section
+        and damped Gauss-Newton fit (kept below as the reference) converged
+        with |b| <= SLOPE_LIMIT, the variable-projection fit reaches the same
+        or a lower RSS and agrees on convergence. The one exception is a
+        reference stop while b still climbed: the new fit then reaches the
+        slope limit at a lower RSS and says it did not converge."""
+        compared = 0
+        for seed in range(12):
+            pairs = _binned_noisy_cubic(seed)
+            u = np.array([x for x, _ in pairs])
+            p = np.array([y for _, y in pairs])
+            with np.errstate(all="ignore"):
+                theta, converged, _ = _reference_fit_exponential(u, p)
+            if not converged or abs(theta[5]) > SLOPE_LIMIT:
+                continue
+            compared += 1
+            reference = PowerModel(POLYNOMIAL_PLUS_EXPONENTIAL, tuple(theta.tolist()))
+            reference_rss = sum((eval_power(reference, x) - y) ** 2 for x, y in pairs)
+            fit = fit_power_model(pairs, POLYNOMIAL_PLUS_EXPONENTIAL)
+            assert fit.rss <= reference_rss * (1 + 1e-9), seed
+            if fit.converged is not converged:
+                assert abs(fit.model.coefficients[5]) >= SLOPE_LIMIT * (1 - 1e-4), seed
+                assert fit.rss < reference_rss, seed
+        assert compared == 12
+
+
+def _binned_noisy_cubic(seed: int) -> list[tuple[float, float]]:
+    """Pairs as ``clean_power_training_data`` makes them: raw samples of a
+    cubic plus Gaussian noise over part of [0, 1], averaged in 0.01 bins."""
+    rng = random.Random(seed)
+    lo, hi = rng.uniform(0.0, 0.3), rng.uniform(0.6, 1.0)
+    bins: dict[int, list[float]] = {}
+    for _ in range(rng.choice([200, 600, 2000])):
+        u = rng.uniform(lo, hi)
+        power = 80.0 + 50.0 * u + 10.0 * u**2 + 5.0 * u**3 + rng.gauss(0.0, 2.0)
+        bins.setdefault(round(u / 0.01), []).append(power)
+    return sorted((k * 0.01, sum(v) / len(v)) for k, v in bins.items())
+
+
+def _reference_fit_exponential(u, p, max_iterations=10_000):
+    """The earlier cubic-plus-exponential fit: a grid over b in [-24, 24],
+    golden-section search on the unscaled projected residual, then a damped
+    Gauss-Newton polish of all six coefficients until the relative RSS
+    improvement falls below 1e-9 or the iteration cap."""
+    cubic = np.column_stack([u, u**2, u**3, np.ones_like(u)])
+
+    def linear_fit(b):
+        design = np.column_stack([cubic, np.exp(np.clip(b * u, -700.0, 700.0)) - 1.0])
+        coeffs = np.linalg.lstsq(design, p, rcond=None)[0]
+        residual = design @ coeffs - p
+        return coeffs, float(residual @ residual)
+
+    def residual_jacobian(theta):
+        c0, c1, c2, c3, a, b = theta.tolist()
+        eb = np.exp(np.clip(b * u, -700.0, 700.0))
+        jac = np.column_stack([cubic, eb - 1.0, a * u * eb])
+        prediction = c0 * u + c1 * u**2 + c2 * u**3 + c3 + a * (eb - 1.0)
+        return prediction - p, jac
+
+    iterations = 0
+    grid = [b for b in np.linspace(-24.0, 24.0, 97) if abs(b) > 1e-9]
+    best_b, best_rss = grid[0], np.inf
+    for b in grid:
+        iterations += 1
+        rss = linear_fit(b)[1]
+        if rss < best_rss:
+            best_rss, best_b = rss, b
+    step = grid[1] - grid[0]
+    lo, hi = best_b - step, best_b + step
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    f1, f2 = linear_fit(x1)[1], linear_fit(x2)[1]
+    while hi - lo > 1e-12 and iterations < max_iterations // 2:
+        iterations += 1
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - golden * (hi - lo)
+            f1 = linear_fit(x1)[1]
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + golden * (hi - lo)
+            f2 = linear_fit(x2)[1]
+    b_star = (lo + hi) / 2.0
+    linear, rss = linear_fit(b_star)
+    theta = np.array([*linear, b_star])
+
+    lam = 1e-6
+    converged = False
+    residual, jac = residual_jacobian(theta)
+    while iterations < max_iterations:
+        iterations += 1
+        gradient = jac.T @ residual
+        hessian = jac.T @ jac
+        scale = np.maximum(hessian.diagonal(), 1e-12)
+        improvement = 0.0
+        stepped = False
+        for _ in range(50):
+            try:
+                delta = np.linalg.solve(hessian + np.diag(lam * scale), -gradient)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            candidate = theta + delta
+            cand_residual, cand_jac = residual_jacobian(candidate)
+            cand_rss = float(cand_residual @ cand_residual)
+            if math.isfinite(cand_rss) and cand_rss <= rss:
+                improvement = rss - cand_rss
+                theta, rss = candidate, cand_rss
+                residual, jac = cand_residual, cand_jac
+                lam = max(lam * 0.3, 1e-14)
+                stepped = True
+                break
+            lam *= 10.0
+            if lam > 1e14:
+                break
+        if not stepped or rss <= 1e-22 or improvement <= 1e-9 * max(rss, 1e-300):
+            converged = True
+            break
+    return theta, converged, iterations
 
 
 def test_extracted_scenario_structurally_matches_original():

@@ -134,6 +134,22 @@ class TestPowerModel:
         pm = PowerModel(POLYNOMIAL_PLUS_EXPONENTIAL, (50.0, 10.0, 5.0, 80.0, 7.0, 2.0))
         assert eval_power(pm, 0.0) == 80.0
 
+    @pytest.mark.parametrize("family, coefficients", [
+        (POLYNOMIAL_PLUS_EXPONENTIAL, (50.0, 10.0, 5.0, 80.0, 1e-300, 1269.0)),  # exp overflows
+        (POLYNOMIAL_PLUS_EXPONENTIAL, (50.0, 10.0, 5.0, 80.0, 1e300, 700.0)),  # product overflows
+        (POLYNOMIAL, (1e308, 1e308, 80.0)),  # sum overflows
+    ])
+    def test_power_not_finite_at_full_utilization_refused(self, family, coefficients):
+        problems = PowerModel(family, coefficients).check()
+        assert problems == ["power at utilization 1 must be finite, got inf"]
+
+    @pytest.mark.parametrize("coefficients", [
+        (50.0, 10.0, 5.0, 80.0, 1e-300, 700.0),
+        (50.0, 10.0, 5.0, 80.0, 1e300, -1e300),
+    ])
+    def test_steep_but_finite_exponential_accepted(self, coefficients):
+        assert PowerModel(POLYNOMIAL_PLUS_EXPONENTIAL, coefficients).check() == []
+
     @given(st.lists(st.floats(-200, 200), min_size=1, max_size=6))
     def test_constant_term_property(self, coefficients):
         pm = PowerModel(POLYNOMIAL, tuple(coefficients))
