@@ -37,13 +37,13 @@ from .model import (
     MALFORMED,
     POLYNOMIAL,
     POLYNOMIAL_PLUS_EXPONENTIAL,
+    json_text,
     load_model,
     malformed,
     power_model_to_dict,
     reject_unknown,
     validate,
     workload_to_dict,
-    write_json,
 )
 from .scenario import load_scenario, scenario_to_dict
 
@@ -156,14 +156,12 @@ def cmd_extract(args) -> int:
     for template_id, template in result.scenario.templates.items():
         filename = f"{template_id}.json"
         with open(os.path.join(workload_dir, filename), "w", encoding="utf-8") as fh:
-            write_json(workload_to_dict(template.workload), fh.write)
-            fh.write("\n")
+            fh.write(json_text(workload_to_dict(template.workload)) + "\n")
         doc["templates"][template_id]["workload"] = {
             "file": f"{workload_dir_name}/{filename}"
         }
     with open(args.out, "w", encoding="utf-8") as fh:
-        write_json(doc, fh.write)
-        fh.write("\n")
+        fh.write(json_text(doc) + "\n")
 
     print(f"extracted {len(result.extracted_vm_ids)} VMs, skipped {len(result.skipped)}")
     for vm_id, reason in result.skipped:
@@ -182,8 +180,7 @@ def cmd_fit_power(args) -> int:
     fit = fit_power_model(pairs, family, degree)
     doc = power_model_to_dict(fit.model)
     with open(args.out, "w", encoding="utf-8") as fh:
-        write_json(doc, fh.write)
-        fh.write("\n")
+        fh.write(json_text(doc) + "\n")
     print(
         f"fitted {args.family} on {fit.samples} cleaned pairs: "
         f"residual_rms={fit.rms:.6g} W"
@@ -268,11 +265,8 @@ def cmd_compare(args) -> int:
         )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            write_json(
-                {"runs": rows, "pairwise": pairwise, "lowest_energy": rows[lowest]["label"]},
-                fh.write,
-            )
-            fh.write("\n")
+            doc = {"runs": rows, "pairwise": pairwise, "lowest_energy": rows[lowest]["label"]}
+            fh.write(json_text(doc) + "\n")
     return 0
 
 

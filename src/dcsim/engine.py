@@ -154,7 +154,10 @@ def sample_measurements(sim: SimulationState) -> None:
 @dataclass
 class SimulationReport:
     """Everything a run produced, sufficient to re-derive its metrics: the
-    kernel's own series, logs and ``VmRuntime``s (``vm_records``), not copies."""
+    kernel's own series, logs and ``VmRuntime``s (``vm_records``), not copies.
+    ``report.write_report`` writes each series to its own CSV, and
+    ``to_dict`` (``report.json``) holds only what no CSV does, plus the
+    action log, which ``actions.csv`` also holds."""
 
     end_time: float
     seed: int
@@ -213,12 +216,6 @@ class SimulationReport:
         return {
             "end_time": self.end_time,
             "seed": self.seed,
-            "total_energy_wh": self.total_energy_wh,
-            "energy_wh": self.energy_wh,
-            "servers": {
-                sid: {"utilization": points, "power": self.power[sid]}
-                for sid, points in self.utilization.items()
-            },
             "actions": [
                 {"time": a.time, "action": a.action, "subject": a.subject,
                  "outcome": a.outcome}
@@ -235,10 +232,6 @@ class SimulationReport:
                 }
                 for vm_id, vm in self.vm_records.items()
             },
-            "autoscaler": [
-                {"time": t, "application": app, "instances": n, "rate": rate}
-                for t, app, n, rate in self.autoscaler_series
-            ],
             "app_instance_counts": self.app_instance_counts,
         }
 

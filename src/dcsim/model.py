@@ -13,8 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
+from itertools import chain
 from typing import Mapping, Sequence
 
 
@@ -548,132 +547,10 @@ def model_from_dict(obj: Mapping) -> DataCenterModel:
     return DataCenterModel(tuple(servers), power_models, tuple(initial_vms), power_states)
 
 
-#: Pending pieces ``write_json`` gathers before it hands them to ``write``.
-_FLUSH_PARTS = 1024
-#: Rows of numbers ``write_json`` formats with one ``%`` string.
-_ROWS_PER_FORMAT = 1024
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(x: float) -> str:
-    text = float.__repr__(x)
-    return _NON_FINITE.get(text, text)
-
-
-#: JSON text of a scalar, by exact type; subclasses take ``_scalar_text``.
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    float: _float_text,
-    int: int.__repr__,
-    bool: ("false", "true").__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _scalar_text(o) -> str | None:
-    """JSON text of a scalar as the standard library encodes it; None for
-    anything else."""
-    scalar = _SCALAR_TEXT.get(type(o))
-    if scalar is not None:
-        return scalar(o)
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_text(o)
-    return None
-
-
-def _number_rows(rows: list | tuple, nl: str, parts: list, write) -> bool:
-    """Encode ``rows`` if it is a list of equal-length lists of finite
-    ``int``/``float`` items (exact types), formatting up to
-    ``_ROWS_PER_FORMAT`` rows with one ``%`` string; False if it is not."""
-    if not set(map(type, rows)) <= {list, tuple}:
-        return False
-    widths = set(map(len, rows))
-    width = widths.pop()
-    if widths or not width:
-        return False
-    flat = list(chain.from_iterable(rows))
-    if not set(map(type, flat)) <= {int, float}:
-        return False
-    try:
-        if not math.isfinite(sum(flat)):  # a NaN or infinity stays in the sum
-            return False
-    except OverflowError:
-        return False
-    item_nl, number_nl = nl + "  ", nl + "    "
-    row = "[" + number_nl + ("," + number_nl).join(["%r"] * width) + item_nl + "]"
-    sep = "," + item_nl
-    parts.append("[" + item_nl)
-    step = _ROWS_PER_FORMAT * width
-    for start in range(0, len(flat), step):
-        values = tuple(flat[start:start + step])
-        if start:
-            parts.append(sep)
-        parts.append(sep.join([row] * (len(values) // width)) % values)
-        write("".join(parts))
-        parts.clear()
-    parts.append(nl + "]")
-    return True
-
-
-def _encode(o, nl: str, parts: list, write) -> None:
-    """Append the JSON text of ``o``, whose closing bracket goes after
-    ``nl``, to ``parts``; hand ``parts`` to ``write`` when it grows long."""
-    if isinstance(o, dict):
-        if not o:
-            parts.append("{}")
-            return
-        items = [(f"{encode_basestring_ascii(key)}: ", value) for key, value in sorted(o.items())]
-        sep, closing = "{", "}"
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            parts.append("[]")
-            return
-        if _number_rows(o, nl, parts, write):
-            return
-        items = zip(repeat(""), o)
-        sep, closing = "[", "]"
-    else:
-        text = _scalar_text(o)
-        if text is None:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        parts.append(text)
-        return
-    inner = nl + "  "
-    sep += inner
-    for head, value in items:
-        scalar = _SCALAR_TEXT.get(type(value))
-        if scalar is not None:
-            parts.append(sep + head + scalar(value))
-        else:
-            parts.append(sep + head)
-            _encode(value, inner, parts, write)
-            if len(parts) >= _FLUSH_PARTS:
-                write("".join(parts))
-                parts.clear()
-        sep = "," + inner
-    parts.append(nl + closing)
-
-
-def write_json(obj, write) -> None:
-    """Write ``obj`` through ``write`` in chunks, exactly as
-    ``json.dumps(obj, indent=2, sort_keys=True)`` gives it (no trailing
-    newline); dict keys must be strings. Scalars go through the standard
-    library's C-level formatting; a list of equal-length rows of plain
-    numbers is formatted ``_ROWS_PER_FORMAT`` rows at a time."""
-    parts: list[str] = []
-    _encode(obj, "\n", parts, write)
-    write("".join(parts))
-
-
 def json_text(obj) -> str:
-    """``obj`` as ``write_json`` writes it, as one string."""
-    chunks: list[str] = []
-    write_json(obj, chunks.append)
-    return "".join(chunks)
+    """``obj`` as every JSON file dcsim writes holds it: sorted keys at a
+    two-space indent."""
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def dump_model(model: DataCenterModel) -> str:

@@ -7,10 +7,10 @@ back into model reconstruction.
 Byte contract: every CSV is what ``csv.writer`` writes in the excel dialect
 (minimal quoting: a field holding ``,``, ``"``, ``\\r`` or ``\\n`` is wrapped
 in ``"`` with inner ``"`` doubled; ``\\r\\n`` line ends; floats as ``repr``),
-and ``report.json`` is ``json.dumps(report.to_dict(), sort_keys=True)`` at
-a two-space indent, plus ``\\n``. Each file is formatted as text and streamed
-in chunks of ``_CHUNK_ROWS`` rows (JSON: see ``model.write_json``), so no
-file is ever held in memory whole.
+and ``report.json`` is ``model.json_text(report.to_dict())`` plus ``\\n``.
+Each CSV is formatted as text and streamed in chunks of ``_CHUNK_ROWS`` rows,
+so no CSV is ever held in memory whole; ``report.json`` holds only what no
+CSV does (see ``SimulationReport.to_dict``), so it is written in one piece.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import re
 from itertools import islice
 
 from .engine import SimulationReport
-from .model import write_json
+from .model import json_text
 from .state import LIFECYCLE_COLUMNS, METRIC_COLUMNS
 
 UTILIZATION_CSV = "utilization.csv"
@@ -99,7 +99,6 @@ def write_report(report: SimulationReport, out_dir: str) -> list[str]:
         ))
 
     with open(path(REPORT_JSON), "w", encoding="utf-8") as fh:
-        write_json(report.to_dict(), fh.write)
-        fh.write("\n")
+        fh.write(json_text(report.to_dict()) + "\n")
 
     return written

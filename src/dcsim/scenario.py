@@ -26,6 +26,7 @@ from .model import (
     json_text,
     malformed,
     read_json_document,
+    reject_unknown,
     scalar,
     text,
     workload_from_dict,
@@ -201,8 +202,10 @@ def _trigger_to_dict(trigger: Trigger) -> dict:
 def _trigger_from_dict(obj: Mapping) -> Trigger:
     kind = obj.get("type")
     if kind == "absolute":
+        reject_unknown(obj, {"type", "time"}, "trigger")
         return AbsoluteTime(scalar(obj["time"], "trigger: time"))
     if kind == "relative":
+        reject_unknown(obj, {"type", "reference", "offset"}, "trigger")
         return RelativeTo(text(obj["reference"], "trigger: reference"),
                           scalar(obj["offset"], "trigger: offset"))
     raise ScenarioError(f"unknown trigger type {kind!r}")
@@ -228,6 +231,7 @@ def _request_to_dict(request: Request) -> dict:
 def _request_from_dict(obj: Mapping) -> Request:
     kind = obj.get("type")
     if kind == "start_application":
+        reject_unknown(obj, {"type", "template", "vm_id", "flavor_override"}, "request")
         override = obj.get("flavor_override")
         return StartApplication(
             template=text(obj["template"], "request: template"),
@@ -235,12 +239,15 @@ def _request_from_dict(obj: Mapping) -> Request:
             flavor_override=flavor_from_dict(override) if override else None,
         )
     if kind == "stop_application":
+        reject_unknown(obj, {"type", "target"}, "request")
         return StopApplication(target=text(obj["target"], "request: target"))
     if kind == "reconfigure_optimisation_algorithm":
+        reject_unknown(obj, {"type", "algorithm"}, "request")
         return ReconfigureOptimisationAlgorithm(
             algorithm=text(obj["algorithm"], "request: algorithm")
         )
     if kind == "change_optimisation_interval":
+        reject_unknown(obj, {"type", "interval"}, "request")
         return ChangeOptimisationInterval(interval=scalar(obj["interval"], "request: interval"))
     raise ScenarioError(f"unknown request type {kind!r}")
 
@@ -274,7 +281,8 @@ def scenario_from_dict(
     """Build and check a scenario. A malformed template or event is named,
     a template with the path its workload was read from if
     ``workload_files`` has one, and an event that is not an object or has
-    no id by its index."""
+    no id by its index. Unknown keys are refused at every level."""
+    reject_unknown(obj, {"templates", "events"}, "scenario")
     templates: dict[str, ApplicationTemplate] = {}
     for tid, raw in json_object(obj, "templates").items():
         try:
@@ -286,11 +294,13 @@ def scenario_from_dict(
                     for k, v in raw.get("parameters", {}).items()
                 },
             )
+            reject_unknown(raw, {"flavor", "workload", "parameters"})
         except MALFORMED as exc:
             raise malformed(f"template {tid!r}", exc, (workload_files or {}).get(tid)) from exc
     events = []
     for index, raw in enumerate(json_array(obj, "events")):
         try:
+            reject_unknown(raw, {"id", "trigger", "request"})
             events.append(TimelineEvent(
                 id=text(raw["id"], "id"),
                 trigger=_trigger_from_dict(raw.get("trigger", {})),

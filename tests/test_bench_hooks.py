@@ -119,9 +119,9 @@ def test_bench_inputs_load(bench_inputs, tmp_path, workload, size):
 #: SHA-256 (``workloads.digest``) of one untraced round's outputs per workload,
 #: on the seed-1 inputs of the given size.
 ROUND_DIGESTS = [
-    ("batch-fleet", 4, "9e2f55bbcb6e98d7f61715e993cc7e15b65494959f4d661bcecf43a0973b2c42"),
-    ("autoscale-tiers", 1, "18e9d6a07c11f8fa97d2ceaf1f83b740e46bb236b632fd308ae9dcc9d691e2d8"),
-    ("trace-roundtrip", 10, "ce3c424ae874b473ce6a72046bd18bb61780129dc6a920cc724a87d20aaebcdf"),
+    ("batch-fleet", 4, "48a9f67b4e327f4aae23f8a677fb3a731665b7d531c819a0bf84c1e41c88210e"),
+    ("autoscale-tiers", 1, "f69612a3fd762fb1824dca6350b5718cf61584efe32c609d2995fb0763b2a95d"),
+    ("trace-roundtrip", 10, "63b25f6d6278bbd2e407c0b643925c4c3e3c8884758208d964fda95386445c63"),
 ]
 
 

@@ -294,9 +294,40 @@ class TestSimulate:
         ("model", lambda doc: doc.update(initial_vms=[
             VM_V1, {key: value for key, value in VM_V1.items() if key != "id"}]),
          "initial_vms[1]: missing key 'id'"),
+        ("scenario", lambda doc: doc.update(event=doc.pop("events")),
+         "scenario: unknown keys ['event']"),
+        ("scenario", lambda doc: doc["templates"]["tpl"].update(flavour={"vcpus": 1}),
+         "template 'tpl': unknown keys ['flavour']"),
+        ("scenario", lambda doc: doc["events"][0].update(delay=5.0),
+         "event 'e1': unknown keys ['delay']"),
+        ("scenario", lambda doc: doc["events"].append({"at": 5.0}),
+         "events[2]: unknown keys ['at']"),
+        ("scenario", lambda doc: doc["events"][0]["trigger"].update(offset=5.0),
+         "event 'e1': trigger: unknown keys ['offset']"),
+        ("scenario", lambda doc: doc["events"][1]["trigger"].update(time=5.0),
+         "event 'e2': trigger: unknown keys ['time']"),
+        ("scenario", lambda doc: doc["events"][0]["request"].update(
+            flavour_override={"vcpus": 2, "ram": 2048.0}),
+         "event 'e1': request: unknown keys ['flavour_override']"),
+        ("scenario", lambda doc: doc["events"][1]["request"].update(vm_id="x"),
+         "event 'e2': request: unknown keys ['vm_id']"),
+        ("scenario", lambda doc: doc["events"].append({
+            "id": "e3", "trigger": {"type": "absolute", "time": 1.0},
+            "request": {"type": "reconfigure_optimisation_algorithm", "algorithm": "none",
+                        "interval": 60.0}}),
+         "event 'e3': request: unknown keys ['interval']"),
+        ("scenario", lambda doc: doc["events"].append({
+            "id": "e3", "trigger": {"type": "absolute", "time": 1.0},
+            "request": {"type": "change_optimisation_interval", "interval": 60.0,
+                        "algorithm": "none"}}),
+         "event 'e3': request: unknown keys ['algorithm']"),
     ], ids=["templates-list", "template-int", "workload-file-int", "events-int", "event-int",
             "server-without-cores", "server-int", "segment-one-number", "event-without-id",
-            "event-list-id", "server-without-id", "vm-without-id"])
+            "event-list-id", "server-without-id", "vm-without-id", "scenario-unknown-key",
+            "template-unknown-key", "event-unknown-key", "indexed-event-unknown-key",
+            "absolute-trigger-unknown-key", "relative-trigger-unknown-key",
+            "start-unknown-key", "stop-unknown-key", "reconfigure-unknown-key",
+            "interval-unknown-key"])
     def test_malformed_shape_names_entity(self, inputs, capsys, document, mutate, message):
         tmp_path, model, scenario = inputs
         target = model if document == "model" else scenario
@@ -718,7 +749,7 @@ def test_autoscaler_csv_written(tmp_path):
 
 #: sha256 of the report directory that ``test_simulate_reports_are_pinned``
 #: writes. Only a change that declares a behaviour change may update it.
-PINNED_REPORT_SHA256 = "907e9adc8cf5185f8fd3623ed3c1c4b037f9f7e5575f62b0ff56b796a4502dec"
+PINNED_REPORT_SHA256 = "747b8d6ec96c730fca6d8116e8d70e8c1532e5b502a63668cf4b27175485d900"
 
 
 def _all_feature_inputs(tmp_path):
@@ -869,3 +900,39 @@ def test_extract_outputs_are_pinned(tmp_path, capsys):
         tenant_only = json.load(fh)
     assert len(extracted["templates"]) > len(tenant_only["templates"])
     assert _tree_sha256(str(out)) == PINNED_EXTRACT_SHA256
+
+
+def test_every_json_file_goes_through_the_one_writer(tmp_path, capsys):
+    """The report, the extracted scenario and each of its workload files, a
+    fitted power model and a comparison are each written exactly as
+    ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline."""
+    model, scenario = _all_feature_inputs(tmp_path)
+    source = str(tmp_path / "source")
+    assert main([
+        "simulate", "--model", model, "--scenario", scenario, "--out", source,
+        "--end", "1800", "--seed", "11", "--optimizer", "consolidation",
+        "--autoscaler", "react", "--power-manager",
+    ]) == 0
+    measured = ["--metrics", os.path.join(source, "metrics.csv"),
+                "--events", os.path.join(source, "lifecycle.csv"), "--from", "0", "--to", "1800"]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["extract", *measured, "--model", model, "--out", str(out / "scenario.json")]) == 0
+    assert main(["fit-power", *measured, "--server", "s1", "--family", "poly-exp",
+                 "--out", str(out / "power.json")]) == 0
+    configs = []
+    for label in ("a", "b"):
+        config = tmp_path / f"{label}.json"
+        config.write_text(json.dumps({"label": label, "model": model, "scenario": scenario,
+                                      "sim": {"end_time": 600.0}}))
+        configs += ["--config", str(config)]
+    assert main(["compare", *configs, "--out", str(out / "compare.json")]) == 0
+    workloads = os.listdir(out / "scenario_workloads")
+    assert workloads
+    written = [os.path.join(source, "report.json"),
+               *(str(out / name) for name in ("scenario.json", "power.json", "compare.json")),
+               *(str(out / "scenario_workloads" / name) for name in workloads)]
+    for path in written:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path

@@ -1,14 +1,12 @@
-"""The report writers' byte contract: ``model.write_json`` against
-``json.dumps(indent=2, sort_keys=True)``, the CSV fields against
-``csv.writer``, and whole report directories against the ``csv.writer`` /
-``json.dump`` writer they replace."""
+"""The report writers' byte contract: the CSV fields against ``csv.writer``,
+whole report directories against the ``csv.writer`` / ``json.dump`` writer
+they replace, and what ``report.json`` holds."""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
-import math
 import os
 
 import pytest
@@ -26,8 +24,6 @@ from dcsim.model import (
     VmFlavor,
     VmInstance,
     VmState,
-    json_text,
-    write_json,
 )
 from dcsim.report import _CsvField, write_report
 from dcsim.scenario import (
@@ -41,81 +37,6 @@ from dcsim.scenario import (
 )
 from tests.conftest import LINEAR_PM, make_server, trace_template
 from tests.test_cli import _all_feature_inputs
-
-
-def _stdlib(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
-# -- JSON ---------------------------------------------------------------------
-
-_EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 5e-324])
-_NUMBERS = st.one_of(
-    st.floats(), _EDGE_FLOATS, st.booleans(),
-    st.integers(min_value=-2**70, max_value=2**70),
-)
-_LEAVES = st.one_of(st.none(), _NUMBERS, st.text())
-#: Lists of rows: ragged or of one width, mixing ints, floats and bools.
-_ROWS = st.one_of(
-    st.lists(st.lists(_NUMBERS, max_size=3), max_size=4),
-    st.integers(1, 3).flatmap(
-        lambda width: st.lists(st.lists(_NUMBERS, min_size=width, max_size=width),
-                               min_size=1, max_size=4)
-    ),
-)
-_JSON = st.recursive(
-    _LEAVES | _ROWS,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(st.text(), children, max_size=4),
-    ),
-    max_leaves=30,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_JSON)
-@example([[1.0, True], [2.0, False]])
-@example({"nan": [[math.nan, 1.0]], "inf": [[2, -math.inf]], "neg": [[-0.0, 5e-324]]})
-@example({"big": [[2**64, 1e16]], "quote": 'a"b\\cé\x01\n', "empty": [{}, [], ()]})
-def test_write_json_matches_stdlib(obj):
-    assert json_text(obj) == _stdlib(obj)
-
-
-def test_write_json_subclasses_take_the_general_path():
-    """Subclasses of int, float and str (enums, numpy scalars) are written as
-    the standard library writes them, inside number rows too."""
-    np = pytest.importorskip("numpy")
-    obj = {
-        "rows": [[np.float64(0.1), 1.0], [2.0, np.float64(-0.0)]],
-        "state": VmState.RUNNING,
-        "scalars": [np.float64(1e16), np.float64("nan")],
-    }
-    assert json_text(obj) == _stdlib(obj)
-
-
-@pytest.mark.parametrize("bad", [{(1, 2): 0}, {"a": {1, 2}}, object()])
-def test_write_json_rejects_what_stdlib_rejects(bad):
-    with pytest.raises(TypeError):
-        _stdlib(bad)
-    with pytest.raises(TypeError):
-        json_text(bad)
-
-
-def test_write_json_streams_large_documents_in_bounded_chunks():
-    """Long number rows and long lists of records cross the chunk limits and
-    reach ``write`` in several pieces, none of them the whole document."""
-    obj = {
-        "rows": [[t * 0.1, t / 7.0] for t in range(5000)],
-        "records": [{"id": f"vm{i}", "hosts": [[i * 1.5, "s1"]]} for i in range(3000)],
-    }
-    chunks = []
-    write_json(obj, chunks.append)
-    text = "".join(chunks)
-    assert text == _stdlib(obj)
-    assert len(chunks) > 5
-    assert max(map(len, chunks)) < len(text) / 4
 
 
 # -- CSV fields ---------------------------------------------------------------
@@ -240,6 +161,19 @@ def _odd_id_inputs():
         TimelineEvent("big", AbsoluteTime(120.0), StartApplication("huge", "whale,é")),
     ]
     return model, ExperimentScenario(events=events, templates=templates)
+
+
+def test_report_json_holds_only_what_no_csv_holds(tmp_path):
+    """``report.json`` keeps the run's end and seed, the VM records, the
+    instance counts and the action log; the server series, the energies and
+    the autoscaler series are only in their CSVs."""
+    model, scenario = _odd_id_inputs()
+    report = run(model, scenario, AlgorithmConfig(autoscaler="react"),
+                 SimConfig(end_time=600.0, seed=3))
+    write_report(report, str(tmp_path))
+    with open(tmp_path / "report.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert set(doc) == {"actions", "app_instance_counts", "end_time", "seed", "vms"}
 
 
 @pytest.mark.parametrize("autoscaler", ["react", "none"])
