@@ -256,9 +256,9 @@ def admit(
 ) -> Rejected | None:
     """Give a new VM a host: the placement algorithm's choice on a fresh
     view, enacted through the ``Place`` rules. A VM that no server takes
-    ends rejected."""
+    ends rejected through ``end_vm``, like every other VM's end."""
     server_id = sim.placement_fn(sync_measurements(sim), vm.flavor)
     if server_id is not None and enact(Place(vm.id, server_id), sim, extra_boot_delay) is None:
         return None
-    sim.reject_vm(vm)
+    sim.end_vm(vm, VmState.REJECTED)
     return Rejected("no feasible server")

@@ -182,26 +182,14 @@ class SimulationReport:
         return out
 
     def rejected_placements(self) -> int:
-        return sum(
-            1
-            for entry in self.actions
-            if entry.action in ("place", "start-request", "scale-out")
-            and entry.outcome.startswith("rejected")
-        )
+        """The number of VMs that no server took."""
+        return sum(vm.state is VmState.REJECTED for vm in self.vm_records.values())
 
-    def scaling_action_count(self, app_id: str | None = None) -> int:
-        count = 0
-        for entry in self.actions:
-            if entry.action not in ("scale-out", "scale-in"):
-                continue
-            if entry.outcome != "enacted":
-                continue
-            # subject is the app id (scale-out) or "app/instance" (scale-in)
-            subject_app = entry.subject.split("/", 1)[0]
-            if app_id is not None and subject_app != app_id:
-                continue
-            count += 1
-        return count
+    def scaling_action_count(self) -> int:
+        return sum(
+            entry.action in ("scale-out", "scale-in") and entry.outcome == "enacted"
+            for entry in self.actions
+        )
 
     def mean_instances(self, app_id: str) -> float:
         points = self.app_instance_counts[app_id]
@@ -248,7 +236,6 @@ class _Engine:
         if problems:
             raise ValueError("model does not validate: " + "; ".join(problems))
         check_scenario(scenario, known_vm_ids=[vm.id for vm in model.initial_vms])
-        self._check_algorithm_references(scenario)
         self.model = model
         self.scenario = scenario
         self.algorithms = algorithms
@@ -277,16 +264,6 @@ class _Engine:
             MEASUREMENT_SAMPLE: self._handle_measurement,
             RATE_UPDATE: sim.recompute_app_demand,
         }
-
-    @staticmethod
-    def _check_algorithm_references(scenario: ExperimentScenario) -> None:
-        for ev in scenario.events:
-            if isinstance(ev.request, ReconfigureOptimisationAlgorithm):
-                if ev.request.algorithm not in OPTIMIZER_FUNCTIONS:
-                    raise ValueError(
-                        f"event {ev.id!r} references unknown optimisation "
-                        f"algorithm {ev.request.algorithm!r}"
-                    )
 
     # -- setup -------------------------------------------------------------
 

@@ -41,12 +41,16 @@ from .scenario import (
     StopApplication,
     TimelineEvent,
 )
-from .state import LIFECYCLE_COLUMNS, METRIC_COLUMNS, LifecycleEntry, MetricSample
+from .state import (
+    LIFECYCLE_COLUMNS,
+    LIFECYCLE_EVENTS,
+    METRIC_COLUMNS,
+    TERMINAL_EVENTS,
+    LifecycleEntry,
+    MetricSample,
+)
 
 log = logging.getLogger("dcsim.extraction")
-
-LIFECYCLE_EVENTS = ("submitted", "started", "migrated", "terminated", "completed")
-TERMINAL_EVENTS = ("terminated", "completed")
 
 _by_time = attrgetter("time")
 
@@ -146,6 +150,8 @@ def _check_lifecycle_order(store: MeasurementStore) -> None:
             elif entry.event in TERMINAL_EVENTS:
                 if not submitted:
                     raise IngestError(f"vm {vm_id}: {entry.event} before submitted")
+                if started and entry.event == "rejected":
+                    raise IngestError(f"vm {vm_id}: rejected after started")
                 ended = True
 
 

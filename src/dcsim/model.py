@@ -347,12 +347,16 @@ def malformed(where: str, exc: Exception, path: str | None = None) -> ModelForma
 
 
 def reject_unknown(obj: Mapping, allowed: set[str], where: str | None = None) -> None:
-    """Refuse a key of ``obj`` outside ``allowed``; ``where`` names ``obj``
-    when no ``malformed`` error around the call names it."""
-    unknown = set(obj) - allowed
-    if unknown:
+    """Refuse ``obj`` if it is not a JSON object or has a key outside
+    ``allowed``; ``where`` names ``obj`` when no ``malformed`` error around
+    the call names it."""
+    if not isinstance(obj, dict):
+        message = "must be a JSON object"
+    elif unknown := set(obj) - allowed:
         message = f"unknown keys {sorted(unknown)}"
-        raise ModelFormatError(message if where is None else f"{where}: {message}")
+    else:
+        return
+    raise ModelFormatError(message if where is None else f"{where}: {message}")
 
 
 def scalar(value, name: str, kind: type = float):
@@ -361,8 +365,18 @@ def scalar(value, name: str, kind: type = float):
     an ``int``, a boolean only ``true`` or ``false``: strings, ``null``, a
     boolean for a number and ``2.5`` for an integer are refused."""
     if type(value) is kind or kind is float and type(value) is int:
-        return kind(value)
+        if kind is not float:
+            return value
+        try:
+            return float(value)
+        except OverflowError:
+            raise _too_large(name) from None
     raise ModelFormatError(f"{name} must be {_KIND_TEXT[kind]}, got {value!r}")
+
+
+def _too_large(name: str) -> ModelFormatError:
+    """The error for a JSON integer in the field ``name`` that no float holds."""
+    return ModelFormatError(f"{name}: integer too large for a float")
 
 
 def text(value, name: str) -> str:
@@ -406,7 +420,10 @@ def json_object(obj: Mapping, key: str) -> dict:
 def _number_pairs(rows, name: str) -> tuple[tuple[float, float], ...]:
     if not set(map(type, chain.from_iterable(rows))) <= _NUMBERS:
         raise ModelFormatError(f"{name} must hold numbers")
-    return tuple((float(a), float(b)) for a, b in rows)
+    try:
+        return tuple((float(a), float(b)) for a, b in rows)
+    except OverflowError:
+        raise _too_large(name) from None
 
 
 def workload_to_dict(workload: WorkloadModel) -> dict:
@@ -454,7 +471,11 @@ def power_model_from_dict(obj: Mapping) -> PowerModel:
     coefficients = obj["coefficients"]
     if not set(map(type, coefficients)) <= _NUMBERS:
         raise ModelFormatError(f"coefficients must be numbers, got {coefficients!r}")
-    return PowerModel(text(obj["family"], "family"), tuple(float(c) for c in coefficients))
+    try:
+        coefficients = tuple(map(float, coefficients))
+    except OverflowError:
+        raise _too_large("coefficients") from None
+    return PowerModel(text(obj["family"], "family"), coefficients)
 
 
 def vm_to_dict(vm: VmInstance) -> dict:
@@ -563,7 +584,7 @@ def json_document(source: str, what: str, path=None) -> dict:
     prefix = "" if path is None else f"{path}: "
     try:
         obj = json.loads(source)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise ModelFormatError(f"{prefix}malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{prefix}{what} must be a JSON object")

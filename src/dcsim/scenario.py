@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from .algorithms import OPTIMIZER_ALGORITHMS
 from .model import (
     MALFORMED,
     ModelFormatError,
@@ -173,6 +174,12 @@ def check_scenario(scenario: ExperimentScenario, known_vm_ids: Iterable[str] = (
         if isinstance(ev.request, ChangeOptimisationInterval):
             if not 0 < ev.request.interval < math.inf:
                 raise ScenarioError(f"event {ev.id!r} interval must be finite and > 0")
+        if isinstance(ev.request, ReconfigureOptimisationAlgorithm):
+            if ev.request.algorithm not in OPTIMIZER_ALGORITHMS:
+                raise ScenarioError(
+                    f"event {ev.id!r} references unknown optimisation "
+                    f"algorithm {ev.request.algorithm!r}"
+                )
 
     # Relative references must not form a cycle.
     edges = {
@@ -279,24 +286,25 @@ def scenario_from_dict(
     workload_files: Mapping[str, str] | None = None,
 ) -> ExperimentScenario:
     """Build and check a scenario. A malformed template or event is named,
-    a template with the path its workload was read from if
+    a malformed workload also by the path it was read from if
     ``workload_files`` has one, and an event that is not an object or has
     no id by its index. Unknown keys are refused at every level."""
     reject_unknown(obj, {"templates", "events"}, "scenario")
     templates: dict[str, ApplicationTemplate] = {}
     for tid, raw in json_object(obj, "templates").items():
+        path = None  # the workload file's, while the workload is read
         try:
-            templates[str(tid)] = ApplicationTemplate(
-                flavor=flavor_from_dict(raw["flavor"]),
-                workload=workload_from_dict(raw["workload"]),
-                parameters={
-                    str(k): text(v, f"parameters: {k}")
-                    for k, v in raw.get("parameters", {}).items()
-                },
-            )
             reject_unknown(raw, {"flavor", "workload", "parameters"})
+            flavor = flavor_from_dict(raw["flavor"])
+            parameters = {
+                str(k): text(v, f"parameters: {k}")
+                for k, v in raw.get("parameters", {}).items()
+            }
+            path = (workload_files or {}).get(tid)
+            workload = workload_from_dict(raw["workload"])
         except MALFORMED as exc:
-            raise malformed(f"template {tid!r}", exc, (workload_files or {}).get(tid)) from exc
+            raise malformed(f"template {tid!r}", exc, path) from exc
+        templates[str(tid)] = ApplicationTemplate(flavor, workload, parameters)
     events = []
     for index, raw in enumerate(json_array(obj, "events")):
         try:
@@ -352,6 +360,6 @@ def load_scenario(path, known_vm_ids: Iterable[str] = ()) -> ExperimentScenario:
             with open(wl_path, "r", encoding="utf-8") as fh:
                 try:
                     raw["workload"] = json.load(fh)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # as in json_document
                     raise malformed(f"template {tid!r}", exc, wl_path) from exc
     return scenario_from_dict(obj, known_vm_ids, workload_files)

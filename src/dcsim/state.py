@@ -122,6 +122,10 @@ LIFECYCLE_COLUMNS = [
     "timestamp_s", "vm_id", "event", "host_id",
     "flavor_vcpus", "flavor_ram_mib", "initiator",
 ]
+#: The ``event`` of a lifecycle row; a terminal event is named after the
+#: terminal state ``end_vm`` gave the VM.
+TERMINAL_EVENTS = tuple(sorted(state.value for state in TERMINAL_STATES))
+LIFECYCLE_EVENTS = ("submitted", "started", "migrated") + TERMINAL_EVENTS
 
 
 class MetricSample(NamedTuple):
@@ -135,7 +139,7 @@ class MetricSample(NamedTuple):
 class LifecycleEntry(NamedTuple):
     time: float
     vm_id: str
-    event: str  # submitted | started | migrated | terminated | completed
+    event: str  # one of LIFECYCLE_EVENTS
     host_id: str | None
     vcpus: int
     ram: float
@@ -512,15 +516,11 @@ class SimulationState:
         server.pending_power = None
         self.refresh_host(server_id)
 
-    def reject_vm(self, vm: VmRuntime) -> None:
-        """End a never-placed VM whose placement found no server."""
-        vm.state = VmState.REJECTED
-        del self.live_vms[vm.id]
-        vm.end_time = self.now
-
     def end_vm(self, vm: VmRuntime, final_state: VmState) -> None:
-        """End a placed VM, completed or terminated: release its hosts and
-        its place in its tier."""
+        """End a VM in ``final_state``: the one writer of a VM's terminal
+        state, its removal from ``live_vms``, its ``end_time`` and its
+        terminal lifecycle row. A completed or terminated VM releases its
+        hosts and its place in its tier; a rejected one never held either."""
         vm.move_epoch += 1
         touched = [h for h in (vm.host, vm.migration_target) if h is not None]
         for host in touched:

@@ -194,6 +194,21 @@ class TestSimulate:
          {"family": "polynomial_plus_exponential",
           "coefficients": [50.0, 10.0, 5.0, 80.0, 1e-300, 1269.0]},
          "power model pm: power at utilization 1 must be finite, got inf"),
+        pytest.param("model", ("servers", 0, "ram_capacity"), 10**400,
+                     "server s1: ram_capacity: integer too large for a float",
+                     id="model-ram_capacity-10**400"),
+        pytest.param("model", ("power_models", "pm", "coefficients", 0), 10**400,
+                     "power model pm: coefficients: integer too large for a float",
+                     id="model-coefficient-10**400"),
+        pytest.param("scenario", ("templates", "tpl", "workload", "segments", 0, 1), 10**400,
+                     "template 'tpl': workload: segments: integer too large for a float",
+                     id="scenario-segment-demand-10**400"),
+        ("model", ("power_models", "pm"), "linear", "power model pm: must be a JSON object"),
+        ("scenario", ("events", 0, "request"),
+         {"type": "reconfigure_optimisation_algorithm", "algorithm": "fancy"},
+         "event 'e1' references unknown optimisation algorithm 'fancy'"),
+        ("scenario", ("templates", "tpl", "flavor"), "big",
+         "template 'tpl': flavor: must be a JSON object"),
     ])
     def test_malformed_value_names_entity(self, inputs, capsys, document, path, value,
                                           entity):
@@ -244,7 +259,27 @@ class TestSimulate:
         assert main(simulate_args(model, scenario, str(tmp_path / "out"))) == 2
         assert f"error: template 'tpl' ({wl_path}): " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["{", "[1, 2]"])
+    def test_scenario_fault_beside_workload_file_names_no_path(self, inputs, capsys):
+        # the workload file is sound; the typo is in the scenario document
+        tmp_path, model, scenario = inputs
+        with open(scenario) as fh:
+            obj = json.load(fh)
+        template = obj["templates"]["tpl"]
+        (tmp_path / "wl.json").write_text(json.dumps(template["workload"]))
+        template["workload"] = {"file": "wl.json"}
+        template["paramters"] = {}
+        with open(scenario, "w") as fh:
+            json.dump(obj, fh)
+        message = "template 'tpl': unknown keys ['paramters']"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            load_scenario(scenario)
+        assert main(simulate_args(model, scenario, str(tmp_path / "out"))) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+
+    # past the 4,300-digit int/str limit, json raises a plain ValueError
+    @pytest.mark.parametrize("text", [
+        "{", "[1, 2]", pytest.param('{"events": ' + "9" * 5000 + "}", id="digit-limit"),
+    ])
     def test_malformed_scenario_file_names_path(self, inputs, capsys, text):
         tmp_path, model, scenario = inputs
         with open(scenario, "w") as fh:
@@ -749,7 +784,7 @@ def test_autoscaler_csv_written(tmp_path):
 
 #: sha256 of the report directory that ``test_simulate_reports_are_pinned``
 #: writes. Only a change that declares a behaviour change may update it.
-PINNED_REPORT_SHA256 = "747b8d6ec96c730fca6d8116e8d70e8c1532e5b502a63668cf4b27175485d900"
+PINNED_REPORT_SHA256 = "3832e8fd6a2b286696ac158ad23a3179c09ef67b082087f77195794ff5a9cf68"
 
 
 def _all_feature_inputs(tmp_path):

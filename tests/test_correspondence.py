@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +9,7 @@ from dcsim.correspondence import (
     PowerOff,
     PowerOn,
     Rejected,
+    ScaleIn,
     ScaleOut,
     enact,
     sync_measurements,
@@ -237,6 +239,37 @@ class TestEnact:
         harness = make_harness(make_model(1))
         assert isinstance(enact(Place("ghost", "s1"), harness.sim), Rejected)
         assert isinstance(enact(PowerOff("s9"), harness.sim), Rejected)
+
+
+#: ``describe`` reads these two fields of anything that is not a known action
+UNSUPPORTED = SimpleNamespace(application_id="web", instance_id="web")
+
+
+@pytest.mark.parametrize("action, reason", [
+    (Place("booting", "s1"), "vm booting is booting, not pending"),
+    (Place("pending", "s9"), "unknown server s9"),
+    (Migrate("ghost", "s1", "s2"), "unknown vm ghost"),
+    (Migrate("v1", "s1", "s9"), "unknown server s9"),
+    (ScaleOut("nope"), "unknown application nope"),
+    (ScaleIn("nope", "v1"), "unknown application nope"),
+    (ScaleIn("web", "v1"), "v1 is not an instance of web"),
+    (ScaleIn("web", "web"), "cannot remove the last instance"),
+    (UNSUPPORTED, f"unsupported action {UNSUPPORTED!r}"),
+], ids=["place-not-pending", "place-unknown-server", "migrate-unknown-vm",
+        "migrate-unknown-server", "scale-out-unknown-app", "scale-in-unknown-app",
+        "scale-in-not-instance", "scale-in-last-instance", "unsupported"])
+def test_enact_refusal_is_returned_and_logged(action, reason):
+    tier = VmInstance(
+        id="web", flavor=VmFlavor(1, 1024.0),
+        workload=OpenRequestLoad(((0.0, 10.0),), 12.0), host="s2",
+        state=VmState.RUNNING,
+    )
+    harness = make_harness(make_model(2, initial_vms=[running_vm("v1", 2048, "s1"), tier]))
+    add_pending_vm(harness, "pending", 1024)
+    add_pending_vm(harness, "booting", 1024)
+    assert enact(Place("booting", "s1"), harness.sim) is None
+    assert enact(action, harness.sim) == Rejected(reason)
+    assert harness.sim.action_log[-1].outcome == f"rejected: {reason}"
 
 
 def test_enactment_safety_random_action_storm():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcsim.algorithms import AlgorithmConfig
+from dcsim.algorithms import PLACEMENT_FUNCTIONS, AlgorithmConfig
 from dcsim.engine import (
     SimConfig,
     _Engine,
@@ -166,6 +166,21 @@ class TestRunBasics:
         report = run(model, scenario, NO_ALGO, SimConfig(end_time=200.0))
         assert report.vm_records["vm0"].end_kind == "rejected"
         assert report.rejected_placements() == 1
+
+    def test_rejection_counted_once_when_placement_names_a_full_server(self, monkeypatch):
+        # the Place rules refuse the plug-in's choice, then admission rejects
+        # the VM: two refusals in the action log, one rejected VM
+        monkeypatch.setitem(PLACEMENT_FUNCTIONS, NO_ALGO.placement,
+                            lambda snapshot, flavor: "s1")
+        model = make_model(1, ram=1024.0)
+        scenario = scenario_of_traces([[(100.0, 1.0)]], ram=2048.0)
+        report = run(model, scenario, NO_ALGO, SimConfig(end_time=200.0))
+        refusals = [(a.action, a.outcome) for a in report.actions]
+        assert refusals == [("place", "rejected: insufficient RAM on s1"),
+                            ("start-request", "rejected: no feasible server")]
+        assert report.rejected_placements() == 1
+        kinds = [e.event for e in report.lifecycle if e.vm_id == "vm0"]
+        assert kinds == ["submitted", "rejected"]
 
     def test_determinism_identical_reports(self, two_server_model):
         config = SimConfig(end_time=5400.0, seed=7)
@@ -817,7 +832,7 @@ class TestRemainingInvariants:
         stop = [a for a in report.actions if a.action == "stop-request"][0]
         assert stop.outcome == "no-op: already rejected"
         kinds = [e.event for e in report.lifecycle if e.vm_id == "doomed"]
-        assert kinds == ["submitted"]
+        assert kinds == ["submitted", "rejected"]
 
 
 def test_migration_under_contention_hand_computed():

@@ -90,6 +90,21 @@ class TestIngest:
         with pytest.raises(IngestError, match="line 2"):
             ingest_measurements(str(metrics), str(events))
 
+    def test_rejected_vm_ingests(self, tmp_path):
+        metrics = tmp_path / "m.csv"
+        metrics.write_text(METRIC_HEADER)
+        events = tmp_path / "e.csv"
+        events.write_text(
+            LIFECYCLE_HEADER
+            + "5,v,submitted,,1,1024,tenant\n"
+            + "5,v,rejected,,1,1024,tenant\n"
+        )
+        store = ingest_measurements(str(metrics), str(events))
+        assert store.lifecycle == [lifecycle(5.0, "v", "submitted"),
+                                   lifecycle(5.0, "v", "rejected")]
+        assert store.terminal("v") == lifecycle(5.0, "v", "rejected")
+        assert store.started("v") is None
+
     def test_event_after_terminal(self, tmp_path):
         metrics = tmp_path / "m.csv"
         metrics.write_text(METRIC_HEADER)
@@ -112,8 +127,10 @@ class TestIngest:
         ("0,v,submitted,,1,1024,tenant\n1,v,migrated,s2,1,1024,tenant\n",
          "vm v: migrated before started"),
         ("0,v,completed,,1,1024,tenant\n", "vm v: completed before submitted"),
+        ("0,v,submitted,,1,1024,tenant\n1,v,started,s1,1,1024,tenant\n"
+         "2,v,rejected,,1,1024,tenant\n", "vm v: rejected after started"),
     ], ids=["duplicate-submitted", "duplicate-started", "migrated-before-started",
-            "terminal-before-submitted"])
+            "terminal-before-submitted", "rejected-after-started"])
     def test_lifecycle_order_error_names_vm(self, tmp_path, rows, message):
         metrics = tmp_path / "m.csv"
         metrics.write_text(METRIC_HEADER)
