@@ -174,7 +174,7 @@ def cmd_fit_power(args) -> int:
 
     family, degree = _parse_family(args.family)
     _check_window(args)
-    store = ingest_measurements(args.metrics, args.events)
+    store = ingest_measurements(args.metrics, None)
     store = _window_store(store, args.frm, args.to)
     pairs = clean_power_training_data(store, args.server, args.bin_width)
     fit = fit_power_model(pairs, family, degree)
@@ -323,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit-power", help="train a server power model")
     fit.add_argument("--metrics", required=True)
-    fit.add_argument("--events", help="lifecycle CSV (optional)")
     fit.add_argument("--server", required=True)
     fit.add_argument("--from", dest="frm", type=float, required=True)
     fit.add_argument("--to", dest="to", type=float, required=True)

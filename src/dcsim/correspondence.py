@@ -105,7 +105,9 @@ def describe(action: AdaptationAction) -> tuple[str, str]:
         return "power-off", action.server_id
     if isinstance(action, ScaleOut):
         return "scale-out", action.application_id
-    return "scale-in", f"{action.application_id}/{action.instance_id}"
+    if isinstance(action, ScaleIn):
+        return "scale-in", f"{action.application_id}/{action.instance_id}"
+    return "unsupported", repr(action)
 
 
 # --- synchronizing the runtime view -----------------------------------------
@@ -185,13 +187,8 @@ def _enact(
             return Rejected(f"unknown vm {action.vm_id}")
         if vm.state is not VmState.PENDING:
             return Rejected(f"vm {vm.id} is {vm.state.value}, not pending")
-        server = sim.servers.get(action.server_id)
-        if server is None:
-            return Rejected(f"unknown server {action.server_id}")
-        if not server.usable():
-            return Rejected(f"server {action.server_id} is powered off")
-        if server.free_ram < vm.flavor.ram:
-            return Rejected(f"insufficient RAM on {action.server_id}")
+        if refusal := _host_refusal(sim, action.server_id, vm.flavor.ram):
+            return refusal
         sim.place_vm(vm, action.server_id, extra_boot_delay + sim.config.boot_latency)
         return None
 
@@ -205,13 +202,8 @@ def _enact(
             return Rejected(f"vm {vm.id} is on {vm.host}, not {action.source}")
         if action.source == action.target:
             return Rejected("migration source equals target")
-        target = sim.servers.get(action.target)
-        if target is None:
-            return Rejected(f"unknown server {action.target}")
-        if not target.usable():
-            return Rejected(f"server {action.target} is powered off")
-        if target.free_ram < vm.flavor.ram:
-            return Rejected(f"insufficient RAM on {action.target}")
+        if refusal := _host_refusal(sim, action.target, vm.flavor.ram):
+            return refusal
         sim.start_migration(vm, action.target)
         return None
 
@@ -249,6 +241,18 @@ def _enact(
         return None
 
     return Rejected(f"unsupported action {action!r}")
+
+
+def _host_refusal(sim: SimulationState, server_id: str, ram: float) -> Rejected | None:
+    """Why ``server_id`` cannot take a VM of ``ram`` MiB, or None if it can."""
+    server = sim.servers.get(server_id)
+    if server is None:
+        return Rejected(f"unknown server {server_id}")
+    if not server.usable():
+        return Rejected(f"server {server_id} is powered off")
+    if server.free_ram < ram:
+        return Rejected(f"insufficient RAM on {server_id}")
+    return None
 
 
 def admit(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .algorithms import (
     OPTIMIZER_FUNCTIONS,
@@ -281,10 +281,12 @@ class _Engine:
         for a black-box trace."""
         if not isinstance(workload, OpenRequestLoad):
             return None
-        app = AppRuntime(id=app_id, load=workload, flavor=flavor, created_at=self.sim.now)
+        # absolute point times, computed once: the updates and lookups share the floats
+        now = self.sim.now
+        load = replace(workload, series=tuple((now + t, rate) for t, rate in workload.series))
+        app = AppRuntime(id=app_id, load=load, flavor=flavor)
         self.sim.apps[app_id] = app
-        for offset, _rate in workload.series:
-            when = self.sim.now + offset
+        for when, _rate in load.series:
             if when <= self.config.end_time:
                 self.sim.schedule(when, RATE_UPDATE, (app,))
         return app
@@ -392,7 +394,7 @@ class _Engine:
     def _handle_autoscaler_tick(self) -> None:
         for app_id in sorted(self.sim.apps):
             app = self.sim.apps[app_id]
-            rate = app.offered_rate(self.sim.now)
+            rate = app.load.rate_at(self.sim.now)
             app.rate_history.append((self.sim.now, rate))
             instances = tuple(app.instance_ids)
             if not instances:

@@ -21,11 +21,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .model import (
+    INITIATORS,
     POLYNOMIAL,
     POLYNOMIAL_PLUS_EXPONENTIAL,
     BlackBoxTrace,
     DataCenterModel,
-    Initiator,
     PowerModel,
     ServerSpec,
     VmFlavor,
@@ -153,9 +153,6 @@ def _check_lifecycle_order(store: MeasurementStore) -> None:
                 if started and entry.event == "rejected":
                     raise IngestError(f"vm {vm_id}: rejected after started")
                 ended = True
-
-
-INITIATORS = tuple(initiator.value for initiator in Initiator)
 
 
 def _csv_rows(fh, path: str, columns: list[str]):

@@ -40,6 +40,9 @@ class Initiator(str, Enum):
     AUTOSCALER = "autoscaler"
 
 
+INITIATORS = tuple(initiator.value for initiator in Initiator)
+
+
 POWER_ON = "on"
 POWER_OFF = "off"
 
@@ -196,7 +199,6 @@ class ServerSpec:
     core_speed: float  # work-units per second per core
     ram_capacity: float  # MiB
     power_model_id: str
-    has_power_meter: bool = True
     idle_off_power: float = 0.0  # watts drawn while powered off
 
     def check(self) -> list[str]:
@@ -232,13 +234,12 @@ def free_ram(server: ServerSpec, placed: Sequence["VmInstance"]) -> float:
 
 @dataclass(frozen=True)
 class VmInstance:
-    """A VM as the simulation knows it: flavor, workload, placement, state."""
+    """A VM as the simulation knows it; a model's initial VM runs on its host."""
 
     id: str
     flavor: VmFlavor
     workload: WorkloadModel
     host: str | None = None
-    state: VmState = VmState.PENDING
     initiator: Initiator = Initiator.TENANT
 
     def check(self) -> list[str]:
@@ -286,8 +287,6 @@ def validate(model: DataCenterModel) -> list[str]:
             errs.append(f"duplicate vm id {vm.id}")
         seen_vms.add(vm.id)
         errs.extend(vm.check())
-        if vm.state is not VmState.RUNNING:
-            errs.append(f"initial vm {vm.id} must be running, got state {vm.state.value}")
         if vm.host is None:
             errs.append(f"initial vm {vm.id} has no host assignment")
             continue
@@ -316,11 +315,8 @@ def validate(model: DataCenterModel) -> list[str]:
 # --- JSON serialization ----------------------------------------------------
 
 _MODEL_KEYS = {"servers", "power_models", "initial_vms", "initial_power_states"}
-_SERVER_KEYS = {
-    "id", "cores", "core_speed", "ram_capacity", "power_model_id",
-    "has_power_meter", "idle_off_power",
-}
-_VM_KEYS = {"id", "flavor", "workload", "host", "state", "initiator"}
+_SERVER_KEYS = {"id", "cores", "core_speed", "ram_capacity", "power_model_id", "idle_off_power"}
+_VM_KEYS = {"id", "flavor", "workload", "host", "initiator"}
 #: The Python types of a JSON number.
 _NUMBERS = {int, float}
 #: What a field of each kind must hold, as ``scalar`` says it.
@@ -357,6 +353,13 @@ def reject_unknown(obj: Mapping, allowed: set[str], where: str | None = None) ->
     else:
         return
     raise ModelFormatError(message if where is None else f"{where}: {message}")
+
+
+def kind_of(obj, where: str, tag: str = "kind"):
+    """``obj[tag]`` or None, refusing an ``obj`` that is not a JSON object."""
+    if not isinstance(obj, dict):
+        reject_unknown(obj, set(), where)
+    return obj.get(tag)
 
 
 def scalar(value, name: str, kind: type = float):
@@ -418,12 +421,14 @@ def json_object(obj: Mapping, key: str) -> dict:
 
 
 def _number_pairs(rows, name: str) -> tuple[tuple[float, float], ...]:
-    if not set(map(type, chain.from_iterable(rows))) <= _NUMBERS:
-        raise ModelFormatError(f"{name} must hold numbers")
     try:
-        return tuple((float(a), float(b)) for a, b in rows)
+        if type(rows) is list and set(map(type, chain.from_iterable(rows))) <= _NUMBERS:
+            return tuple((float(a), float(b)) for a, b in rows)
     except OverflowError:
         raise _too_large(name) from None
+    except (TypeError, ValueError):  # a row that is not a list, or not a pair
+        pass
+    raise ModelFormatError(f"{name} must hold numbers as a JSON array of [x, y] pairs")
 
 
 def workload_to_dict(workload: WorkloadModel) -> dict:
@@ -440,7 +445,7 @@ def workload_to_dict(workload: WorkloadModel) -> dict:
 
 
 def workload_from_dict(obj: Mapping) -> WorkloadModel:
-    kind = obj.get("kind")
+    kind = kind_of(obj, "workload")
     if kind == "blackbox_trace":
         reject_unknown(obj, {"kind", "segments"}, "workload")
         return BlackBoxTrace(_number_pairs(obj["segments"], "workload: segments"))
@@ -469,8 +474,8 @@ def power_model_to_dict(pm: PowerModel) -> dict:
 def power_model_from_dict(obj: Mapping) -> PowerModel:
     reject_unknown(obj, {"family", "coefficients"})
     coefficients = obj["coefficients"]
-    if not set(map(type, coefficients)) <= _NUMBERS:
-        raise ModelFormatError(f"coefficients must be numbers, got {coefficients!r}")
+    if type(coefficients) is not list or not set(map(type, coefficients)) <= _NUMBERS:
+        raise ModelFormatError(f"coefficients must be numbers in an array, got {coefficients!r}")
     try:
         coefficients = tuple(map(float, coefficients))
     except OverflowError:
@@ -484,7 +489,6 @@ def vm_to_dict(vm: VmInstance) -> dict:
         "flavor": flavor_to_dict(vm.flavor),
         "workload": workload_to_dict(vm.workload),
         "host": vm.host,
-        "state": vm.state.value,
         "initiator": vm.initiator.value,
     }
 
@@ -492,13 +496,15 @@ def vm_to_dict(vm: VmInstance) -> dict:
 def vm_from_dict(obj: Mapping) -> VmInstance:
     reject_unknown(obj, _VM_KEYS)
     host = obj.get("host")
+    initiator = obj.get("initiator", Initiator.TENANT)
+    if initiator not in INITIATORS:
+        raise ModelFormatError(f"initiator must be one of {list(INITIATORS)}, got {initiator!r}")
     return VmInstance(
         id=text(obj["id"], "id"),
         flavor=flavor_from_dict(obj["flavor"]),
         workload=workload_from_dict(obj["workload"]),
         host=None if host is None else text(host, "host"),
-        state=VmState(obj.get("state", "running")),
-        initiator=Initiator(obj.get("initiator", "tenant")),
+        initiator=Initiator(initiator),
     )
 
 
@@ -510,7 +516,6 @@ def server_from_dict(obj: Mapping) -> ServerSpec:
         core_speed=scalar(obj["core_speed"], "core_speed"),
         ram_capacity=scalar(obj["ram_capacity"], "ram_capacity"),
         power_model_id=text(obj["power_model_id"], "power_model_id"),
-        has_power_meter=scalar(obj.get("has_power_meter", True), "has_power_meter", bool),
         idle_off_power=scalar(obj.get("idle_off_power", 0.0), "idle_off_power"),
     )
 
@@ -524,7 +529,6 @@ def model_to_dict(model: DataCenterModel) -> dict:
                 "core_speed": s.core_speed,
                 "ram_capacity": s.ram_capacity,
                 "power_model_id": s.power_model_id,
-                "has_power_meter": s.has_power_meter,
                 "idle_off_power": s.idle_off_power,
             }
             for s in model.servers

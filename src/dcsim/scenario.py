@@ -25,6 +25,7 @@ from .model import (
     json_document,
     json_object,
     json_text,
+    kind_of,
     malformed,
     read_json_document,
     reject_unknown,
@@ -93,11 +94,10 @@ class TimelineEvent:
 
 @dataclass(frozen=True)
 class ApplicationTemplate:
-    """What a StartApplication request assembles: flavor, workload, parameters."""
+    """What a StartApplication request assembles: flavor and workload."""
 
     flavor: VmFlavor
     workload: WorkloadModel
-    parameters: Mapping[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -207,7 +207,7 @@ def _trigger_to_dict(trigger: Trigger) -> dict:
 
 
 def _trigger_from_dict(obj: Mapping) -> Trigger:
-    kind = obj.get("type")
+    kind = kind_of(obj, "trigger", "type")
     if kind == "absolute":
         reject_unknown(obj, {"type", "time"}, "trigger")
         return AbsoluteTime(scalar(obj["time"], "trigger: time"))
@@ -236,14 +236,15 @@ def _request_to_dict(request: Request) -> dict:
 
 
 def _request_from_dict(obj: Mapping) -> Request:
-    kind = obj.get("type")
+    kind = kind_of(obj, "request", "type")
     if kind == "start_application":
         reject_unknown(obj, {"type", "template", "vm_id", "flavor_override"}, "request")
-        override = obj.get("flavor_override")
         return StartApplication(
             template=text(obj["template"], "request: template"),
             vm_id=text(obj["vm_id"], "request: vm_id"),
-            flavor_override=flavor_from_dict(override) if override else None,
+            flavor_override=(
+                flavor_from_dict(obj["flavor_override"]) if "flavor_override" in obj else None
+            ),
         )
     if kind == "stop_application":
         reject_unknown(obj, {"type", "target"}, "request")
@@ -265,7 +266,6 @@ def scenario_to_dict(scenario: ExperimentScenario) -> dict:
             tid: {
                 "flavor": flavor_to_dict(tpl.flavor),
                 "workload": workload_to_dict(tpl.workload),
-                "parameters": dict(tpl.parameters),
             }
             for tid, tpl in scenario.templates.items()
         },
@@ -294,17 +294,13 @@ def scenario_from_dict(
     for tid, raw in json_object(obj, "templates").items():
         path = None  # the workload file's, while the workload is read
         try:
-            reject_unknown(raw, {"flavor", "workload", "parameters"})
+            reject_unknown(raw, {"flavor", "workload"})
             flavor = flavor_from_dict(raw["flavor"])
-            parameters = {
-                str(k): text(v, f"parameters: {k}")
-                for k, v in raw.get("parameters", {}).items()
-            }
             path = (workload_files or {}).get(tid)
             workload = workload_from_dict(raw["workload"])
         except MALFORMED as exc:
             raise malformed(f"template {tid!r}", exc, path) from exc
-        templates[str(tid)] = ApplicationTemplate(flavor, workload, parameters)
+        templates[str(tid)] = ApplicationTemplate(flavor, workload)
     events = []
     for index, raw in enumerate(json_array(obj, "events")):
         try:

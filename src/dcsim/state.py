@@ -205,21 +205,16 @@ class ServerRuntime:
 
 @dataclass
 class AppRuntime:
-    """A horizontally scalable application tier driven by an open request load."""
+    """A horizontally scalable tier driven by an open request load at absolute times."""
 
     id: str
     load: OpenRequestLoad
     flavor: VmFlavor
-    created_at: float
     instance_ids: list[str] = field(default_factory=list)  # commissioned, in order
     next_seq: int = 1
     instance_demand: float = 0.0
     count_points: list[tuple[float, int]] = field(default_factory=list)
     rate_history: list[tuple[float, float]] = field(default_factory=list)
-
-    def offered_rate(self, t: float) -> float:
-        # Series times are relative to the application's creation.
-        return self.load.rate_at(t - self.created_at)
 
 
 class SimulationState:
@@ -367,7 +362,7 @@ class SimulationState:
         """
         vms = self.vms
         serving = [vms[vm_id] for vm_id in app.instance_ids if vms[vm_id].state in EXECUTING]
-        rate = app.offered_rate(self.now)
+        rate = app.load.rate_at(self.now)
         if serving:
             share = rate / len(serving)
             demand = min(share / app.load.per_instance_capacity, 1.0) * app.flavor.vcpus

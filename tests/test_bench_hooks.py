@@ -121,7 +121,7 @@ def test_bench_inputs_load(bench_inputs, tmp_path, workload, size):
 ROUND_DIGESTS = [
     ("batch-fleet", 4, "48a9f67b4e327f4aae23f8a677fb3a731665b7d531c819a0bf84c1e41c88210e"),
     ("autoscale-tiers", 1, "f69612a3fd762fb1824dca6350b5718cf61584efe32c609d2995fb0763b2a95d"),
-    ("trace-roundtrip", 10, "63b25f6d6278bbd2e407c0b643925c4c3e3c8884758208d964fda95386445c63"),
+    ("trace-roundtrip", 10, "abc21fb6d4a8a2579c0c8ffa9c5439692ae0d777e982d881efe7fe50fcdd439c"),
 ]
 
 

@@ -16,7 +16,6 @@ from dcsim.model import (
     ModelFormatError,
     VmFlavor,
     VmInstance,
-    VmState,
     dump_model,
     load_model,
     parse_model,
@@ -96,15 +95,18 @@ class TestSimulate:
         bad.write_text('{"servers": [], "power_models": {}, "bogus": 1}')
         assert main(simulate_args(str(bad), scenario, str(tmp_path / "out"))) == 2
 
-    @pytest.mark.parametrize("state", ["booting", "migrating"])
+    @pytest.mark.parametrize("state", ["booting", "migrating", "running"])
     def test_initial_vm_not_running_exits_2(self, inputs, capsys, state):
+        """An initial VM runs on its host from the start; a model that
+        gives it a state, even ``running``, is refused."""
         tmp_path, model, scenario = inputs
-        vm = VmInstance("v1", VmFlavor(1, 1024.0), BlackBoxTrace(((100.0, 1.0),)),
-                        host="s1", state=VmState(state))
+        vm = VmInstance("v1", VmFlavor(1, 1024.0), BlackBoxTrace(((100.0, 1.0),)), host="s1")
+        doc = json.loads(dump_model(make_model(2, initial_vms=[vm])))
+        doc["initial_vms"][0]["state"] = state
         with open(model, "w") as fh:
-            fh.write(dump_model(make_model(2, initial_vms=[vm])))
+            json.dump(doc, fh)
         assert main(simulate_args(model, scenario, str(tmp_path / "out"))) == 2
-        assert f"initial vm v1 must be running, got state {state}" in capsys.readouterr().err
+        assert "error: vm v1: unknown keys ['state']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("document, path, value, entity", [
         ("model", ("servers", 0, "core_speed"), math.nan, "server s1"),
@@ -165,8 +167,8 @@ class TestSimulate:
          "power model pm: coefficients must be numbers"),
         ("scenario", ("templates", "tpl", "flavor", "vcpus"), 1.5,
          "template 'tpl': flavor: vcpus must be an integer, got 1.5"),
-        ("model", ("servers", 0, "has_power_meter"), "no",
-         "server s1: has_power_meter must be true or false, got 'no'"),
+        ("model", ("servers", 0, "has_power_meter"), True,
+         "server s1: unknown keys ['has_power_meter']"),
         ("scenario", ("events", 0, "trigger", "time"), "5",
          "event 'e1': trigger: time must be a number, got '5'"),
         ("scenario", ("events", 0, "request"),
@@ -180,8 +182,8 @@ class TestSimulate:
          "power model pm: family must be a string, got 1"),
         ("model", ("initial_power_states",), {"s1": False},
          "initial power state for s1 must be a string, got False"),
-        ("scenario", ("templates", "tpl", "parameters"), {"owner": 5},
-         "template 'tpl': parameters: owner must be a string, got 5"),
+        ("scenario", ("templates", "tpl", "parameters"), {},
+         "template 'tpl': unknown keys ['parameters']"),
         ("scenario", ("events", 0, "request", "vm_id"), 5,
          "event 'e1': request: vm_id must be a string, got 5"),
         ("scenario", ("events", 0, "request", "template"), None,
@@ -209,6 +211,29 @@ class TestSimulate:
          "event 'e1' references unknown optimisation algorithm 'fancy'"),
         ("scenario", ("templates", "tpl", "flavor"), "big",
          "template 'tpl': flavor: must be a JSON object"),
+        # only an absent flavor_override means "no override"
+        *(pytest.param("scenario", ("events", 0, "request", "flavor_override"), value,
+                       "event 'e1': ", id=f"flavor_override-{value!r}")
+          for value in ({}, [], 0, False, "", None)),
+        # each shape error says what the field must be
+        pytest.param("scenario", ("templates", "tpl", "workload"), [1],
+                     "template 'tpl': workload: must be a JSON object", id="workload-list"),
+        pytest.param("model", ("initial_vms",), [dict(VM_V1, workload=[1])],
+                     "vm v1: workload: must be a JSON object", id="vm-workload-list"),
+        pytest.param("scenario", ("events", 0, "trigger"), [],
+                     "event 'e1': trigger: must be a JSON object", id="trigger-list"),
+        pytest.param("scenario", ("events", 0, "request"), 5,
+                     "event 'e1': request: must be a JSON object", id="request-int"),
+        *(pytest.param("scenario", ("templates", "tpl", "workload", "segments"), value,
+                       "template 'tpl': workload: segments must hold numbers as a JSON array "
+                       "of [x, y] pairs", id=f"segments-{value!r}")
+          for value in (5, [5], [[1, 1, 1]])),
+        pytest.param("model", ("power_models", "pm", "coefficients"), 5,
+                     "power model pm: coefficients must be numbers in an array, got 5",
+                     id="coefficients-int"),
+        pytest.param("model", ("initial_vms",), [dict(VM_V1, initiator=5)],
+                     "vm v1: initiator must be one of ['tenant', 'autoscaler'], got 5",
+                     id="initiator-int"),
     ])
     def test_malformed_value_names_entity(self, inputs, capsys, document, path, value,
                                           entity):
@@ -230,7 +255,7 @@ class TestSimulate:
                 problems = [str(exc)]
             assert any(entity in problem for problem in problems)
         else:
-            with pytest.raises(ScenarioError, match=entity):
+            with pytest.raises(ScenarioError, match=re.escape(entity)):
                 parse_scenario(text)
         assert main(simulate_args(model, scenario, str(tmp_path / "out"))) == 2
         assert entity in capsys.readouterr().err
@@ -240,6 +265,7 @@ class TestSimulate:
         ('{"kind": "bogus"}', "unknown kind 'bogus'"),
         ('{"kind": "blackbox_trace", "segments": [[1, 1]], "x": 1}', "unknown keys"),
         ('{"kind": "blackbox_trace"}', "missing key 'segments'"),
+        ("[1, 2]", "workload: must be a JSON object"),
     ])
     def test_workload_file_error_names_template_and_path(self, inputs, capsys, text,
                                                          message):
@@ -489,9 +515,12 @@ class TestExtract:
 ])
 def test_unordered_window_names_the_flags(inputs, capsys, command, frm, to):
     tmp_path, model, _ = inputs
-    args = [command, "--metrics", "m.csv", "--events", "e.csv",
-            "--from", frm, "--to", to, "--out", str(tmp_path / "x.json")]
-    args += ["--model", model] if command == "extract" else ["--server", "s1"]
+    args = [command, "--metrics", "m.csv", "--from", frm, "--to", to,
+            "--out", str(tmp_path / "x.json")]
+    if command == "extract":
+        args += ["--events", "e.csv", "--model", model]
+    else:
+        args += ["--server", "s1"]
     assert main(args) == 2
     assert "--from must precede --to" in capsys.readouterr().err
 
@@ -793,7 +822,7 @@ def _all_feature_inputs(tmp_path):
     chain, stops of a started and an initial VM, a start no server can take,
     an optimizer switch and an interval change."""
     from dcsim.algorithms import gen_seasonal_workload
-    from dcsim.model import BlackBoxTrace, OpenRequestLoad, VmFlavor, VmInstance, VmState
+    from dcsim.model import BlackBoxTrace, OpenRequestLoad, VmFlavor, VmInstance
     from dcsim.scenario import (
         AbsoluteTime,
         ApplicationTemplate,
@@ -813,12 +842,12 @@ def _all_feature_inputs(tmp_path):
     initial = [
         VmInstance(f"hot{i}", VmFlavor(1, 1024.0),
                    BlackBoxTrace(((300.0, d), (200.0, 1.0), (400.0, d / 2))),
-                   host="s1", state=VmState.RUNNING)
+                   host="s1")
         for i, d in enumerate((6.0, 5.0, 4.0))
     ]
     initial.append(VmInstance("front", VmFlavor(1, 1024.0),
                               OpenRequestLoad(series(5), per_instance_capacity=10.0),
-                              host="s2", state=VmState.RUNNING))
+                              host="s2"))
     model_path = tmp_path / "dc.json"
     model_path.write_text(dump_model(make_model(4, idle_off=2.0, initial_vms=initial)))
     templates = {
@@ -887,7 +916,7 @@ def test_simulate_reports_are_pinned(tmp_path):
 #: sha256 of the scenarios, workload files and power models that
 #: ``test_extract_outputs_are_pinned`` writes. Only a change that declares a
 #: behaviour change may update it.
-PINNED_EXTRACT_SHA256 = "f66bc7026d0f29978741e7f725e3de018af63e2057b4aa5eb4747d9ac93b0574"
+PINNED_EXTRACT_SHA256 = "8950d6f90531987be66ffae14d938a0cca0e39df7a75abf1a48c2d97be5f462e"
 
 
 def test_extract_outputs_are_pinned(tmp_path, capsys):
@@ -915,12 +944,12 @@ def test_extract_outputs_are_pinned(tmp_path, capsys):
         "--placement-latency", "1", "--power-transition-latency", "40",
     ]) == 0
     capsys.readouterr()
-    measured = ["--metrics", os.path.join(source, "metrics.csv"),
-                "--events", os.path.join(source, "lifecycle.csv"), "--from", "0", "--to", "3600"]
+    measured = ["--metrics", os.path.join(source, "metrics.csv"), "--from", "0", "--to", "3600"]
+    events = ["--events", os.path.join(source, "lifecycle.csv")]
     out = tmp_path / "extracted"
     out.mkdir()
     for name, flags in (("all", []), ("tenant", ["--exclude-autoscaler"])):
-        assert main(["extract", *measured, "--model", model,
+        assert main(["extract", *measured, *events, "--model", model,
                      "--out", str(out / f"{name}.json"), *flags]) == 0
     printed = capsys.readouterr().out
     assert "skipped blip: vm blip: no utilization measurements" in printed
@@ -948,11 +977,12 @@ def test_every_json_file_goes_through_the_one_writer(tmp_path, capsys):
         "--end", "1800", "--seed", "11", "--optimizer", "consolidation",
         "--autoscaler", "react", "--power-manager",
     ]) == 0
-    measured = ["--metrics", os.path.join(source, "metrics.csv"),
-                "--events", os.path.join(source, "lifecycle.csv"), "--from", "0", "--to", "1800"]
+    measured = ["--metrics", os.path.join(source, "metrics.csv"), "--from", "0", "--to", "1800"]
+    events = ["--events", os.path.join(source, "lifecycle.csv")]
     out = tmp_path / "out"
     out.mkdir()
-    assert main(["extract", *measured, "--model", model, "--out", str(out / "scenario.json")]) == 0
+    assert main(["extract", *measured, *events, "--model", model,
+                 "--out", str(out / "scenario.json")]) == 0
     assert main(["fit-power", *measured, "--server", "s1", "--family", "poly-exp",
                  "--out", str(out / "power.json")]) == 0
     configs = []

@@ -1,5 +1,4 @@
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -47,7 +46,6 @@ def running_vm(vm_id, ram, host):
         flavor=VmFlavor(2, ram),
         workload=BlackBoxTrace(((10000.0, 1.0),)),
         host=host,
-        state=VmState.RUNNING,
     )
 
 
@@ -144,7 +142,6 @@ class TestRejectedState:
         tier = VmInstance(
             id="web", flavor=VmFlavor(1, 4096.0),
             workload=OpenRequestLoad(((0.0, 10.0),), 12.0), host="s1",
-            state=VmState.RUNNING,
         )
         harness = make_harness(make_model(1, ram=4096.0, initial_vms=[tier]))
         outcome = enact(ScaleOut("web"), harness.sim)
@@ -162,7 +159,6 @@ class TestRejectedState:
         tier = VmInstance(
             id="web", flavor=VmFlavor(1, 4096.0),
             workload=OpenRequestLoad(((0.0, 10.0),), 12.0), host="s1",
-            state=VmState.RUNNING,
         )
         harness = make_harness(make_model(2, ram=4096.0, initial_vms=[tier]))
         harness.sim.placement_fn = lambda snapshot, flavor: "s1"
@@ -241,8 +237,8 @@ class TestEnact:
         assert isinstance(enact(PowerOff("s9"), harness.sim), Rejected)
 
 
-#: ``describe`` reads these two fields of anything that is not a known action
-UNSUPPORTED = SimpleNamespace(application_id="web", instance_id="web")
+#: Not an adaptation action
+UNSUPPORTED = object()
 
 
 @pytest.mark.parametrize("action, reason", [
@@ -262,7 +258,6 @@ def test_enact_refusal_is_returned_and_logged(action, reason):
     tier = VmInstance(
         id="web", flavor=VmFlavor(1, 1024.0),
         workload=OpenRequestLoad(((0.0, 10.0),), 12.0), host="s2",
-        state=VmState.RUNNING,
     )
     harness = make_harness(make_model(2, initial_vms=[running_vm("v1", 2048, "s1"), tier]))
     add_pending_vm(harness, "pending", 1024)

@@ -250,7 +250,7 @@ def test_sim_config_rejects_non_integer_seed(seed):
 
 def initial_trace_vm(vm_id, segments, host="s1"):
     return VmInstance(vm_id, VmFlavor(1, 1024.0), BlackBoxTrace(tuple(segments)),
-                      host=host, state=VmState.RUNNING)
+                      host=host)
 
 
 class TestHostTimer:
@@ -652,6 +652,23 @@ def test_work_conservation_under_contention():
     assert done0 == pytest.approx(126.0)
 
 
+def test_tier_started_at_a_fractional_time_takes_every_rate_step():
+    """A tier started at 0.1 s steps from 10 to 40 req/s at offset 4.0. The
+    update fires at 0.1 + 4.0, which is 4.1, while 4.1 - 0.1 is below 4.0,
+    so a lookup relative to the start time used to miss the step."""
+    from dcsim.model import OpenRequestLoad
+    from dcsim.scenario import ApplicationTemplate
+
+    load = OpenRequestLoad(((0.0, 10.0), (4.0, 40.0)), per_instance_capacity=40.0)
+    scenario = ExperimentScenario(
+        events=[TimelineEvent("web", AbsoluteTime(0.1), StartApplication("tier", "app"))],
+        templates={"tier": ApplicationTemplate(VmFlavor(1, 1024.0), load)},
+    )
+    report = run(make_model(1, cores=1, core_speed=1.0), scenario, NO_ALGO,
+                 SimConfig(end_time=20.0))
+    assert report.utilization["s1"] == [(0.0, 0.0), (0.1, 0.25), (0.1 + 4.0, 1.0)]
+
+
 class TestOptimizerReconfiguration:
     def test_reconfigure_and_interval_change(self):
         model = make_model(3, ram=16384.0)
@@ -734,14 +751,14 @@ class TestRemainingInvariants:
             assert energy >= 2.0 * 3600.0 / 3600.0 - 1e-9  # idle_off floor
 
     def test_stop_by_initial_vm_id(self):
-        from dcsim.model import Initiator, VmInstance, VmState
+        from dcsim.model import Initiator, VmInstance
         from dcsim.model import BlackBoxTrace as Trace
         from dcsim.model import VmFlavor as Flavor
 
         vm = VmInstance(
             id="legacy", flavor=Flavor(1, 2048.0),
             workload=Trace(((10000.0, 2.0),)),
-            host="s1", state=VmState.RUNNING, initiator=Initiator.TENANT,
+            host="s1", initiator=Initiator.TENANT,
         )
         model = make_model(1, initial_vms=[vm])
         scenario = ExperimentScenario(

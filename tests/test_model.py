@@ -13,7 +13,6 @@ from dcsim.model import (
     PowerModel,
     VmFlavor,
     VmInstance,
-    VmState,
     dump_model,
     eval_power,
     free_ram,
@@ -35,13 +34,12 @@ class TestHostCapacity:
         assert host_capacity(make_server("a", cores=16, core_speed=2.0)) == 32.0
 
 
-def _vm(vm_id, ram, host=None, state=VmState.PENDING):
+def _vm(vm_id, ram, host=None):
     return VmInstance(
         id=vm_id,
         flavor=VmFlavor(2, ram),
         workload=BlackBoxTrace(((100.0, 1.0),)),
         host=host,
-        state=state,
     )
 
 
@@ -64,7 +62,7 @@ class TestValidate:
         assert validate(make_model(2)) == []
 
     def test_capacity_breach_names_server(self):
-        vm = _vm("big", 8192, host="s1", state=VmState.RUNNING)
+        vm = _vm("big", 8192, host="s1")
         model = make_model(1, ram=4096, initial_vms=[vm])
         problems = validate(model)
         assert len(problems) == 1
@@ -84,27 +82,15 @@ class TestValidate:
         assert first == second == []
 
     def test_initial_vm_on_off_server(self):
-        vm = _vm("v1", 1024, host="s1", state=VmState.RUNNING)
+        vm = _vm("v1", 1024, host="s1")
         model = DataCenterModel(
             (make_server("s1"),), {"pm": LINEAR_PM},
             initial_vms=(vm,), initial_power_states={"s1": "off"},
         )
         assert any("powered-off" in p for p in validate(model))
 
-    def test_initial_vm_must_be_running(self):
-        vms = [
-            _vm("up", 1024, host="s1", state=VmState.RUNNING),
-            _vm("boot", 1024, host="s1", state=VmState.BOOTING),
-            _vm("move", 1024, host="s1", state=VmState.MIGRATING),
-        ]
-        problems = validate(make_model(1, initial_vms=vms))
-        assert problems == [
-            "initial vm boot must be running, got state booting",
-            "initial vm move must be running, got state migrating",
-        ]
-
     def test_host_state_consistency(self):
-        vm = _vm("v", 1024, state=VmState.RUNNING)
+        vm = _vm("v", 1024)
         assert validate(make_model(1, initial_vms=[vm])) == [
             "initial vm v has no host assignment"
         ]
@@ -187,7 +173,6 @@ class TestModelJson:
             flavor=VmFlavor(2, 4096),
             workload=OpenRequestLoad(((0.0, 5.0),), 12.0),
             host="s1",
-            state=VmState.RUNNING,
             initiator=Initiator.TENANT,
         )
         model = make_model(2, initial_vms=[vm])

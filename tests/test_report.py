@@ -23,7 +23,6 @@ from dcsim.model import (
     OpenRequestLoad,
     VmFlavor,
     VmInstance,
-    VmState,
 )
 from dcsim.report import _CsvField, write_report
 from dcsim.scenario import (
@@ -142,7 +141,7 @@ def _odd_id_inputs():
         initial_vms=(
             VmInstance('hot,"é"', VmFlavor(1, 1024.0),
                        BlackBoxTrace(((400.0, 9.0), (300.0, 2.0))),
-                       host="s,1", state=VmState.RUNNING),
+                       host="s,1"),
         ),
     )
     series = tuple(gen_seasonal_workload(30.0, 2, 1800.0, -1.0, 1.0, seed=4, step=10.0))

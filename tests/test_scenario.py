@@ -25,7 +25,6 @@ START_STOP_DOC = json.dumps(
             "tpl": {
                 "flavor": {"vcpus": 2, "ram": 4096},
                 "workload": {"kind": "blackbox_trace", "segments": [[4000, 5.0]]},
-                "parameters": {},
             }
         },
         "events": [
