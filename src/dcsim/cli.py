@@ -9,9 +9,9 @@ own checks, so a model, scenario or trace that one command accepts, the
 simulator can run. A ``simulate`` flag sets the ``SimConfig`` or
 ``AlgorithmConfig`` field of its name, and ``--algo-config`` overrides
 the flags. A flag left out, there or in another command, keeps the
-default of the field or parameter it sets. All
-randomness flows from --seed; no run reads the clock or the environment
-for entropy. Set DCSIM_LOG to a logging level name for diagnostics.
+default of the field or parameter it sets. The kernel draws no random
+numbers, so --seed only labels a report; no run reads the clock or the
+environment. Set DCSIM_LOG to a logging level name for diagnostics.
 """
 
 from __future__ import annotations

@@ -157,11 +157,7 @@ def _host_view(
 # --- enactment ----------------------------------------------------------------
 
 
-def enact(
-    action: AdaptationAction,
-    sim: SimulationState,
-    extra_boot_delay: float = 0.0,
-) -> Rejected | None:
+def enact(action: AdaptationAction, sim: SimulationState) -> Rejected | None:
     """Apply one adaptation action to the simulation.
 
     Immediate effects (RAM reservations, bookkeeping) happen synchronously;
@@ -170,7 +166,7 @@ def enact(
     log either way.
     """
     name, subject = describe(action)
-    outcome = _enact(action, sim, extra_boot_delay)
+    outcome = _enact(action, sim)
     if outcome is None:
         sim.log(name, subject, "enacted")
     else:
@@ -178,9 +174,7 @@ def enact(
     return outcome
 
 
-def _enact(
-    action: AdaptationAction, sim: SimulationState, extra_boot_delay: float
-) -> Rejected | None:
+def _enact(action: AdaptationAction, sim: SimulationState) -> Rejected | None:
     if isinstance(action, Place):
         vm = sim.vms.get(action.vm_id)
         if vm is None:
@@ -189,7 +183,7 @@ def _enact(
             return Rejected(f"vm {vm.id} is {vm.state.value}, not pending")
         if refusal := _host_refusal(sim, action.server_id, vm.flavor.ram):
             return refusal
-        sim.place_vm(vm, action.server_id, extra_boot_delay + sim.config.boot_latency)
+        sim.place_vm(vm, action.server_id)
         return None
 
     if isinstance(action, Migrate):
@@ -255,14 +249,12 @@ def _host_refusal(sim: SimulationState, server_id: str, ram: float) -> Rejected 
     return None
 
 
-def admit(
-    vm: VmRuntime, sim: SimulationState, extra_boot_delay: float = 0.0
-) -> Rejected | None:
+def admit(vm: VmRuntime, sim: SimulationState) -> Rejected | None:
     """Give a new VM a host: the placement algorithm's choice on a fresh
     view, enacted through the ``Place`` rules. A VM that no server takes
     ends rejected through ``end_vm``, like every other VM's end."""
     server_id = sim.placement_fn(sync_measurements(sim), vm.flavor)
-    if server_id is not None and enact(Place(vm.id, server_id), sim, extra_boot_delay) is None:
+    if server_id is not None and enact(Place(vm.id, server_id), sim) is None:
         return None
     sim.end_vm(vm, VmState.REJECTED)
     return Rejected("no feasible server")

@@ -60,6 +60,7 @@ from .state import (
     SimEvent,
     SimulationState,
     VmRuntime,
+    check_instance_names,
     proportional_share_rates,
 )
 
@@ -236,6 +237,10 @@ class _Engine:
         if problems:
             raise ValueError("model does not validate: " + "; ".join(problems))
         check_scenario(scenario, known_vm_ids=[vm.id for vm in model.initial_vms])
+        if algorithms.autoscaler != "none":
+            check_instance_names([(vm.id, vm.workload) for vm in model.initial_vms] + [
+                (ev.request.vm_id, scenario.templates[ev.request.template].workload)
+                for ev in scenario.start_events()])
         self.model = model
         self.scenario = scenario
         self.algorithms = algorithms
@@ -296,7 +301,7 @@ class _Engine:
             if isinstance(ev.trigger, RelativeTo):
                 self.waiting.setdefault(ev.trigger.reference, []).append(ev)
             elif ev.trigger.time <= self.config.end_time:
-                self.sim.schedule(ev.trigger.time, SCENARIO_REQUEST, (ev.id,))
+                self.sim.schedule(ev.trigger.time, SCENARIO_REQUEST, (ev,))
         self.sim.schedule(0.0, MEASUREMENT_SAMPLE, ())
         # The tick chain always runs: a scenario may switch the optimizer on
         # mid-run, and the tick is a no-op while it is "none".
@@ -310,14 +315,14 @@ class _Engine:
         for ev in self.waiting.pop(event_id, ()):
             trigger = self.sim.now + ev.trigger.offset
             if trigger <= self.config.end_time:
-                self.sim.schedule(trigger, SCENARIO_REQUEST, (ev.id,))
+                self.sim.schedule(trigger, SCENARIO_REQUEST, (ev,))
 
-    def _handle_scenario_request(self, event_id: str) -> None:
+    def _handle_scenario_request(self, ev: TimelineEvent) -> None:
         """Carry out a scenario request and complete its event, except for a
         start whose VM found a host: that VM's boot completes it."""
-        request = self.events[event_id].request
+        request = ev.request
         if isinstance(request, StartApplication):
-            if self._handle_start(event_id, request):
+            if self._handle_start(ev.id, request):
                 return
         elif isinstance(request, StopApplication):
             self._handle_stop(request)
@@ -331,7 +336,7 @@ class _Engine:
                 self.sim.now + request.interval, OPTIMIZER_TICK, (self.optimizer_epoch,)
             )
             self.sim.log("change-interval", f"{request.interval}", "applied")
-        self._complete_event(event_id)
+        self._complete_event(ev.id)
 
     def _handle_start(self, event_id: str, request: StartApplication) -> bool:
         """Create the request's VM and admit it; return whether a host took it."""
@@ -342,20 +347,15 @@ class _Engine:
             request.vm_id, flavor, template.workload, Initiator.TENANT, app=app
         )
         self.event_of_vm[vm.id] = event_id
-        if admit(vm, self.sim, self.config.placement_decision_latency) is not None:
+        if admit(vm, self.sim) is not None:
             self.sim.log("start-request", vm.id, "rejected: no feasible server")
             return False
         self.sim.log("start-request", vm.id, f"placing on {vm.host}")
         return True
 
     def _handle_stop(self, request: StopApplication) -> None:
-        target = request.target
-        if target in self.events and isinstance(
-            self.events[target].request, StartApplication
-        ):
-            vm_id = self.events[target].request.vm_id
-        else:
-            vm_id = target
+        start = self.events.get(request.target)  # check_scenario: a start event or None
+        vm_id = request.target if start is None else start.request.vm_id
         vm = self.sim.vms.get(vm_id)
         if vm is None:
             self.sim.log("stop-request", vm_id, "no-op: vm never started")
@@ -365,13 +365,12 @@ class _Engine:
             self.sim.end_vm(vm, VmState.TERMINATED)
             self.sim.log("stop-request", vm_id, f"terminated {vm_id}")
 
-    def _handle_boot_finished(self, vm_id: str, epoch: int) -> None:
-        """Boot timer: the VM starts running and its start event completes."""
-        vm = self.sim.vms[vm_id]
-        if epoch != vm.move_epoch:
+    def _handle_boot_finished(self, vm: VmRuntime) -> None:
+        """Boot timer: a VM still booting starts running and its start event completes."""
+        if vm.state is not VmState.BOOTING:
             return
         self.sim.finish_boot(vm)
-        event_id = self.event_of_vm.get(vm_id)
+        event_id = self.event_of_vm.get(vm.id)
         if event_id is not None:
             self._complete_event(event_id)
 

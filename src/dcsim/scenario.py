@@ -307,8 +307,8 @@ def scenario_from_dict(
             reject_unknown(raw, {"id", "trigger", "request"})
             events.append(TimelineEvent(
                 id=text(raw["id"], "id"),
-                trigger=_trigger_from_dict(raw.get("trigger", {})),
-                request=_request_from_dict(raw.get("request", {})),
+                trigger=_trigger_from_dict(raw["trigger"]),
+                request=_request_from_dict(raw["request"]),
             ))
         except MALFORMED as exc:
             where = f"event {raw['id']!r}" if "id" in raw else f"events[{index}]"

@@ -37,8 +37,9 @@ host, its ``reserved`` list or the host or state of a VM on it calls it.
 ``SimulationState.live_vms`` indexes the VMs not yet in a terminal state,
 in creation order.
 
-Boots and migrations carry ``VmRuntime.move_epoch``, so a superseded timer
-does nothing; a server has at most one power transition pending. Under
+A VM's boot and migration timers carry the VM and act only while the state
+they end holds (``BOOTING``, ``MIGRATING``); a VM leaves it only through that
+timer or ``end_vm``. A server has at most one power transition pending. Under
 processor sharing a host's next change is its earliest segment boundary, so
 each host keeps one boundary timer. ``refresh_host`` re-arms it for the
 earliest trace VM and bumps ``ServerRuntime.timer_epoch``, which makes the
@@ -89,6 +90,17 @@ def proportional_share_rates(demands: Sequence[float], capacity: float) -> list[
         return list(demands)
     scale = capacity / total
     return [d * scale for d in demands]
+
+
+def check_instance_names(vms: list[tuple[str, WorkloadModel]]) -> None:
+    """Refuse an input VM, given as (id, workload), that is named as a request
+    tier's scale-out instance (``create_instance``): the tier's id, ``-i`` and digits."""
+    tiers = {vm_id for vm_id, workload in vms if isinstance(workload, OpenRequestLoad)}
+    for vm_id, _ in vms:
+        tier, _, seq = vm_id.rpartition("-i")
+        if tier in tiers and seq.isdigit():
+            raise ValueError(f"vm id {vm_id!r} is the name of a scale-out instance "
+                             f"of tier {tier!r}")
 
 
 class SimEvent(NamedTuple):
@@ -173,7 +185,6 @@ class VmRuntime:
     seg_remaining: float = 0.0
     demand: float = 0.0  # work-units/s asked while executing; set by refresh_host
     granted_rate: float = 0.0
-    move_epoch: int = 0  # invalidates pending boot/migration events
 
     @property
     def end_kind(self) -> str:
@@ -335,7 +346,7 @@ class SimulationState:
         if first is not None:
             last = first.seg_idx == len(first.workload.segments) - 1
             kind = VM_COMPLETED if last else SEGMENT_BOUNDARY
-            self.schedule(first_at, kind, (server_id, server.timer_epoch, first.id))
+            self.schedule(first_at, kind, (server_id, server.timer_epoch, first))
         if server.power_state == POWER_ON:
             util = min(sum(demands), cap) / cap
             watts = eval_power(self.model.power_models[server.spec.power_model_id], util)
@@ -425,12 +436,12 @@ class SimulationState:
             vm.app.instance_ids.append(vm.id)
             self.record_app_count(vm.app)
 
-    def place_vm(self, vm: VmRuntime, server_id: str, boot_delay: float) -> None:
-        """Reserve RAM now and schedule the boot completion."""
+    def place_vm(self, vm: VmRuntime, server_id: str) -> None:
+        """Reserve RAM now; the VM boots after the placement and boot latencies."""
         vm.state = VmState.BOOTING
         self.reserve(vm, server_id)
-        vm.move_epoch += 1
-        self.schedule(self.now + boot_delay, BOOT_FINISHED, (vm.id, vm.move_epoch))
+        delay = self.config.placement_decision_latency + self.config.boot_latency
+        self.schedule(self.now + delay, BOOT_FINISHED, (vm,))
 
     def finish_boot(self, vm: VmRuntime) -> None:
         """Start a placed VM running: the one path for run-time and initial VMs."""
@@ -449,11 +460,10 @@ class SimulationState:
             self.recompute_app_demand(vm.app)
         self.refresh_host(vm.host)
 
-    def finish_segment(self, server_id: str, epoch: int, vm_id: str) -> None:
+    def finish_segment(self, server_id: str, epoch: int, vm: VmRuntime) -> None:
         """Host timer: the VM's segment ends; start its next one or complete it."""
         if epoch != self.servers[server_id].timer_epoch:
             return
-        vm = self.vms[vm_id]
         self.advance_host(server_id)
         vm.seg_remaining = 0.0
         vm.seg_idx += 1
@@ -462,7 +472,7 @@ class SimulationState:
             self.refresh_host(server_id)
         else:
             self.end_vm(vm, VmState.COMPLETED)
-            self.log("complete", vm_id, "ran to completion")
+            self.log("complete", vm.id, "ran to completion")
 
     def start_migration(self, vm: VmRuntime, target_id: str) -> None:
         """Reserve RAM on the target and schedule the cutover."""
@@ -471,14 +481,12 @@ class SimulationState:
         vm.state = VmState.MIGRATING
         self._host_changed(target_id)
         self._host_changed(vm.host)
-        vm.move_epoch += 1
         duration = vm.flavor.ram / self.config.migration_bandwidth
-        self.schedule(self.now + duration, MIGRATION_FINISHED, (vm.id, vm.move_epoch))
+        self.schedule(self.now + duration, MIGRATION_FINISHED, (vm,))
 
-    def finish_migration(self, vm_id: str, epoch: int) -> None:
-        """Migration timer: the VM cuts over to its target host."""
-        vm = self.vms[vm_id]
-        if epoch != vm.move_epoch:
+    def finish_migration(self, vm: VmRuntime) -> None:
+        """Migration timer: a VM still migrating cuts over to its target host."""
+        if vm.state is not VmState.MIGRATING:
             return
         source, target = vm.host, vm.migration_target
         assert source is not None and target is not None
@@ -516,7 +524,6 @@ class SimulationState:
         state, its removal from ``live_vms``, its ``end_time`` and its
         terminal lifecycle row. A completed or terminated VM releases its
         hosts and its place in its tier; a rejected one never held either."""
-        vm.move_epoch += 1
         touched = [h for h in (vm.host, vm.migration_target) if h is not None]
         for host in touched:
             self.advance_host(host)

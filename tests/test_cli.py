@@ -382,13 +382,17 @@ class TestSimulate:
             "request": {"type": "change_optimisation_interval", "interval": 60.0,
                         "algorithm": "none"}}),
          "event 'e3': request: unknown keys ['algorithm']"),
+        ("scenario", lambda doc: doc["events"][0].pop("trigger"),
+         "event 'e1': missing key 'trigger'"),
+        ("scenario", lambda doc: doc["events"][1].pop("request"),
+         "event 'e2': missing key 'request'"),
     ], ids=["templates-list", "template-int", "workload-file-int", "events-int", "event-int",
             "server-without-cores", "server-int", "segment-one-number", "event-without-id",
             "event-list-id", "server-without-id", "vm-without-id", "scenario-unknown-key",
             "template-unknown-key", "event-unknown-key", "indexed-event-unknown-key",
             "absolute-trigger-unknown-key", "relative-trigger-unknown-key",
             "start-unknown-key", "stop-unknown-key", "reconfigure-unknown-key",
-            "interval-unknown-key"])
+            "interval-unknown-key", "event-without-trigger", "event-without-request"])
     def test_malformed_shape_names_entity(self, inputs, capsys, document, mutate, message):
         tmp_path, model, scenario = inputs
         target = model if document == "model" else scenario
@@ -811,9 +815,41 @@ def test_autoscaler_csv_written(tmp_path):
     assert {int(r["instances"]) for r in rows} - {0}
 
 
+def test_vm_named_like_a_scale_out_instance_exits_2(tmp_path, capsys):
+    """A tenant start named as tier ``web``'s first scale-out instance is
+    refused before the run under an autoscaler, not when React creates it;
+    without an autoscaler the name is free."""
+    scenario = {
+        "templates": {
+            "tier": {"flavor": {"vcpus": 1, "ram": 1024.0},
+                     "workload": {"kind": "open_request_load", "series": [[0.0, 25.0]],
+                                  "per_instance_capacity": 10.0}},
+            "batch": {"flavor": {"vcpus": 1, "ram": 1024.0},
+                      "workload": {"kind": "blackbox_trace", "segments": [[100.0, 1.0]]}},
+        },
+        "events": [
+            {"id": "a", "trigger": {"type": "absolute", "time": 0.0},
+             "request": {"type": "start_application", "template": "tier", "vm_id": "web"}},
+            {"id": "b", "trigger": {"type": "absolute", "time": 500.0},
+             "request": {"type": "start_application", "template": "batch",
+                         "vm_id": "web-i0001"}},
+        ],
+    }
+    model_path, scenario_path = tmp_path / "dc.json", tmp_path / "s.json"
+    model_path.write_text(dump_model(make_model(2)))
+    scenario_path.write_text(json.dumps(scenario))
+    args = simulate_args(str(model_path), str(scenario_path), str(tmp_path / "out"),
+                         end=1000, autoscaler="react")
+    assert main(args) == 2
+    assert ("error: vm id 'web-i0001' is the name of a scale-out instance of tier 'web'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+    assert main(args[:-2]) == 0
+
+
 #: sha256 of the report directory that ``test_simulate_reports_are_pinned``
 #: writes. Only a change that declares a behaviour change may update it.
-PINNED_REPORT_SHA256 = "3832e8fd6a2b286696ac158ad23a3179c09ef67b082087f77195794ff5a9cf68"
+PINNED_REPORT_SHA256 = "7122fad4065b7ce28897b1d679bd024382c75e2467eb7e006467e207444e55f5"
 
 
 def _all_feature_inputs(tmp_path):
@@ -916,7 +952,7 @@ def test_simulate_reports_are_pinned(tmp_path):
 #: sha256 of the scenarios, workload files and power models that
 #: ``test_extract_outputs_are_pinned`` writes. Only a change that declares a
 #: behaviour change may update it.
-PINNED_EXTRACT_SHA256 = "8950d6f90531987be66ffae14d938a0cca0e39df7a75abf1a48c2d97be5f462e"
+PINNED_EXTRACT_SHA256 = "729c6a0c9e8bf58bbe0687045a6a39006aa9fa9b4bee2b525efad338067291f6"
 
 
 def test_extract_outputs_are_pinned(tmp_path, capsys):

@@ -997,3 +997,95 @@ def test_soak_all_features_bounded_time():
     horizon_h = config.end_time / 3600.0
     for server_id, energy in report.energy_wh.items():
         assert 4.0 * horizon_h - 1e-6 <= energy <= 145.0 * horizon_h + 1e-6
+
+
+def tier_scenario(*events, start_at=0.0, rate=25.0, ram=1024.0):
+    """A tier ``web`` started at ``start_at`` whose constant offered rate
+    needs three instances of capacity 10, plus ``events`` and a ``batch``
+    trace template for them."""
+    from dcsim.model import OpenRequestLoad
+    from dcsim.scenario import ApplicationTemplate
+
+    load = OpenRequestLoad(((0.0, rate),), per_instance_capacity=10.0)
+    return ExperimentScenario(
+        events=[TimelineEvent("tier", AbsoluteTime(start_at), StartApplication("t", "web")),
+                *events],
+        templates={"t": ApplicationTemplate(VmFlavor(1, ram), load),
+                   "batch": trace_template([(1000.0, 1.0)], vcpus=1, ram=1024.0)},
+    )
+
+
+REACT = AlgorithmConfig(autoscaler="react")
+
+
+class TestScaleOut:
+    def test_scale_out_waits_the_placement_decision_latency(self):
+        """A scale-out instance is admitted as a tenant's start is: it
+        starts placement_decision_latency + boot_latency after its request."""
+        config = SimConfig(end_time=100.0, autoscaler_interval=60.0, boot_latency=5.0,
+                           placement_decision_latency=1.0)
+        report = run(make_model(2), tier_scenario(), REACT, config)
+        started = {e.vm_id: e.time for e in report.lifecycle if e.event == "started"}
+        assert started == {"web": 6.0, "web-i0001": 66.0}
+        assert report.vm_records["web-i0001"].submit_time == 60.0
+
+    def test_autoscaler_skips_a_tier_without_instances(self):
+        """A tier whose start no server takes has no instance: the
+        autoscaler records its rate and decides nothing for it."""
+        report = run(make_model(1, ram=1024.0), tier_scenario(ram=2048.0), REACT,
+                     SimConfig(end_time=200.0, autoscaler_interval=60.0))
+        assert report.vm_records["web"].end_kind == "rejected"
+        assert report.autoscaler_series == []
+        assert report.scaling_action_count() == 0
+        assert report.app_instance_counts == {"web": []}
+        assert report.mean_instances("web") == 0.0
+
+    def test_mean_instances_of_a_tier_started_at_the_horizon(self):
+        report = run(make_model(1), tier_scenario(start_at=100.0), NO_ALGO,
+                     SimConfig(end_time=100.0))
+        assert report.app_instance_counts == {"web": [(100.0, 1)]}
+        assert report.mean_instances("web") == 1.0
+
+
+def test_stop_before_its_start_ran_is_a_noop():
+    template = trace_template([(100.0, 1.0)], vcpus=1, ram=1024.0)
+    events = [
+        TimelineEvent("e1", AbsoluteTime(50.0), StartApplication("t", "late")),
+        TimelineEvent("halt", AbsoluteTime(10.0), StopApplication("e1")),
+    ]
+    scenario = ExperimentScenario(events=events, templates={"t": template})
+    report = run(make_model(1), scenario, NO_ALGO, SimConfig(end_time=500.0))
+    stop = [a for a in report.actions if a.action == "stop-request"]
+    assert [(a.time, a.subject, a.outcome) for a in stop] == [
+        (10.0, "late", "no-op: vm never started")
+    ]
+    assert report.vm_records["late"].end_kind == "completed"
+
+
+def test_vm_ended_while_migrating_never_cuts_over():
+    """A VM stopped mid-migration releases both hosts, and its migration
+    timer does nothing when it fires."""
+    from dcsim.correspondence import Migrate, enact
+    from tests.conftest import make_harness, pump
+
+    mover = initial_trace_vm("mover", [(1000.0, 1.0)])
+    scenario = ExperimentScenario(
+        events=[TimelineEvent("halt", AbsoluteTime(20.0), StopApplication("mover"))]
+    )
+    harness = make_harness(make_model(2, initial_vms=[mover]), scenario=scenario,
+                           config=SimConfig(end_time=1e9, migration_bandwidth=10.24))
+    harness._schedule_initial_events()
+    sim = harness.sim
+    pump(harness, 10.0)
+    assert enact(Migrate("mover", "s1", "s2"), sim) is None  # copies until t=110
+    pump(harness, 20.0)
+    vm = sim.vms["mover"]
+    assert vm.state is VmState.TERMINATED
+    assert sim.servers["s1"].reserved == sim.servers["s2"].reserved == []
+    pump(harness, 200.0)
+    assert vm.host is None and vm.migration_target is None
+    assert vm.hosts == [(0.0, "s1")]
+    assert [e.event for e in sim.lifecycle if e.vm_id == "mover"] == [
+        "submitted", "started", "terminated"
+    ]
+    assert sim.servers["s2"].free_ram == sim.servers["s2"].spec.ram_capacity

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dcsim.model import VmFlavor
 from dcsim.scenario import (
     AbsoluteTime,
     ChangeOptimisationInterval,
@@ -166,6 +167,8 @@ class TestSerialize:
                               ReconfigureOptimisationAlgorithm("load-balance")),
                 TimelineEvent("e4", AbsoluteTime(6.0),
                               ChangeOptimisationInterval(120.0)),
+                TimelineEvent("e5", AbsoluteTime(7.0),
+                              StartApplication("tpl", "vm-b", VmFlavor(4, 8192.0))),
             ],
             templates={"tpl": trace_template([(100.0, 1.0)])},
         )
