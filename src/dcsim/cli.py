@@ -40,12 +40,11 @@ from .model import (
     json_text,
     load_model,
     malformed,
-    power_model_to_dict,
     reject_unknown,
+    to_json,
     validate,
-    workload_to_dict,
 )
-from .scenario import load_scenario, scenario_to_dict
+from .scenario import load_scenario
 
 if TYPE_CHECKING:  # numpy comes with extraction; only extract and fit-power import it
     from .extraction import MeasurementStore
@@ -152,14 +151,12 @@ def cmd_extract(args) -> int:
     workload_dir = os.path.join(out_dir, workload_dir_name)
     os.makedirs(workload_dir, exist_ok=True)
 
-    doc = scenario_to_dict(result.scenario)
-    for template_id, template in result.scenario.templates.items():
+    doc = to_json(result.scenario)
+    for template_id, template in doc["templates"].items():
         filename = f"{template_id}.json"
         with open(os.path.join(workload_dir, filename), "w", encoding="utf-8") as fh:
-            fh.write(json_text(workload_to_dict(template.workload)) + "\n")
-        doc["templates"][template_id]["workload"] = {
-            "file": f"{workload_dir_name}/{filename}"
-        }
+            fh.write(json_text(template["workload"]) + "\n")
+        template["workload"] = {"file": f"{workload_dir_name}/{filename}"}
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json_text(doc) + "\n")
 
@@ -178,9 +175,8 @@ def cmd_fit_power(args) -> int:
     store = _window_store(store, args.frm, args.to)
     pairs = clean_power_training_data(store, args.server, args.bin_width)
     fit = fit_power_model(pairs, family, degree)
-    doc = power_model_to_dict(fit.model)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json_text(doc) + "\n")
+        fh.write(json_text(to_json(fit.model)) + "\n")
     print(
         f"fitted {args.family} on {fit.samples} cleaned pairs: "
         f"residual_rms={fit.rms:.6g} W"

@@ -9,7 +9,6 @@ seed) yield identical reports.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field, replace
 
 from .algorithms import (
@@ -28,6 +27,8 @@ from .model import (
     Initiator,
     OpenRequestLoad,
     VmState,
+    bound_errors,
+    bounded,
     check_scalars,
     host_capacity,
     validate,
@@ -79,27 +80,20 @@ log = logging.getLogger("dcsim.engine")
 
 @dataclass(frozen=True)
 class SimConfig:
-    end_time: float
-    measurement_interval: float = 30.0
-    optimizer_interval: float = 300.0
-    autoscaler_interval: float = 60.0
-    boot_latency: float = 0.0
-    placement_decision_latency: float = 0.0
-    migration_bandwidth: float = 1024.0  # MiB/s
-    power_transition_latency: float = 0.0
+    end_time: float = bounded("finite and > 0")
+    measurement_interval: float = bounded("finite and > 0", default=30.0)
+    optimizer_interval: float = bounded("finite and > 0", default=300.0)
+    autoscaler_interval: float = bounded("finite and > 0", default=60.0)
+    boot_latency: float = bounded("finite and >= 0", default=0.0)
+    placement_decision_latency: float = bounded("finite and >= 0", default=0.0)
+    migration_bandwidth: float = bounded("finite and > 0", default=1024.0)  # MiB/s
+    power_transition_latency: float = bounded("finite and >= 0", default=0.0)
     seed: int = 0
 
     def __post_init__(self):
         check_scalars(self)
-        for name in ("end_time", "measurement_interval", "optimizer_interval",
-                     "autoscaler_interval", "migration_bandwidth"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        for name in ("boot_latency", "placement_decision_latency", "power_transition_latency"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if problems := bound_errors(self):
+            raise ValueError("; ".join(problems))
 
 
 def _area(points: list[tuple[float, float]], end_time: float) -> float:
@@ -291,8 +285,9 @@ class _Engine:
         load = replace(workload, series=tuple((now + t, rate) for t, rate in workload.series))
         app = AppRuntime(id=app_id, load=load, flavor=flavor)
         self.sim.apps[app_id] = app
+        # a point before now is already in force: the first demand reads rate_at(now)
         for when, _rate in load.series:
-            if when <= self.config.end_time:
+            if now <= when <= self.config.end_time:
                 self.sim.schedule(when, RATE_UPDATE, (app,))
         return app
 

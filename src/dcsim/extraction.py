@@ -29,6 +29,7 @@ from .model import (
     PowerModel,
     ServerSpec,
     VmFlavor,
+    bound_errors,
     eval_power,
     host_capacity,
 )
@@ -216,7 +217,7 @@ def ingest_measurements(
                         raise ValueError(f"unknown initiator {initiator!r}")
                     time = _finite("timestamp_s", t)
                     flavor = VmFlavor(int(vcpus), _finite("flavor_ram_mib", ram))
-                    if problems := flavor.check():
+                    if problems := bound_errors(flavor, "flavor "):
                         raise ValueError("; ".join(problems))
                     append(LifecycleEntry(
                         time, vm_id, event, host_id or None, flavor.vcpus, flavor.ram, initiator,

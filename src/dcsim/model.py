@@ -9,12 +9,46 @@ here is immutable after construction; mutable runtime state lives in
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
-from dataclasses import dataclass, field, fields
+import types
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Annotated, Union, get_args, get_origin, get_type_hints
+
+#: Each number bound a field can declare, by the text its error gives.
+_BOUNDS: dict[str, Callable[[float], bool]] = {
+    ">= 1": lambda value: value >= 1,
+    "finite and > 0": lambda value: 0 < value < math.inf,
+    "finite and >= 0": lambda value: 0 <= value < math.inf,
+}
+
+
+def bounded(rule: str, unit: str = "", **kwargs):
+    """A dataclass field whose number must satisfy ``rule``, a key of
+    ``_BOUNDS``; ``bound_errors`` checks it, and its error writes ``unit``
+    after the rule."""
+    return field(metadata={"bound": (_BOUNDS[rule], rule + unit)}, **kwargs)
+
+
+@dataclass(frozen=True, eq=False)  # hashed by identity, so an annotation holding it is a key
+class Tagged:
+    """How a union of dataclasses is held in JSON: the object's ``key``
+    names its member. ``what`` names that key in the error for a name that
+    is not a member's."""
+
+    key: str
+    what: str
+    members: Mapping[str, type]
+
+
+def tagged(key: str, what: str, **members: type):
+    """The union of ``members``, each held as a JSON object whose ``key``
+    is the member's keyword here."""
+    return Annotated[Union[tuple(members.values())], Tagged(key, what, members)]
 
 
 class VmState(str, Enum):
@@ -51,16 +85,8 @@ POWER_OFF = "off"
 class VmFlavor:
     """Resource shape of a VM: virtual CPU count and RAM reservation in MiB."""
 
-    vcpus: int
-    ram: float
-
-    def check(self) -> list[str]:
-        errs = []
-        if self.vcpus < 1:
-            errs.append(f"flavor vcpus must be >= 1, got {self.vcpus}")
-        if not 0 < self.ram < math.inf:
-            errs.append(f"flavor ram must be finite and > 0 MiB, got {self.ram}")
-        return errs
+    vcpus: int = bounded(">= 1")
+    ram: float = bounded("finite and > 0", " MiB")
 
 
 @dataclass(frozen=True)
@@ -101,15 +127,10 @@ class OpenRequestLoad:
     """
 
     series: tuple[tuple[float, float], ...]
-    per_instance_capacity: float
+    per_instance_capacity: float = bounded("finite and > 0")
 
     def check(self) -> list[str]:
-        errs = []
-        if not 0 < self.per_instance_capacity < math.inf:
-            errs.append(
-                "per_instance_capacity must be finite and > 0, "
-                f"got {self.per_instance_capacity}"
-            )
+        errs = bound_errors(self)
         inf = math.inf
         prev = -inf
         for t, rate in self.series:
@@ -128,7 +149,9 @@ class OpenRequestLoad:
         return self.series[i - 1][1] if i else 0.0
 
 
-WorkloadModel = BlackBoxTrace | OpenRequestLoad
+WorkloadModel = tagged(
+    "kind", "kind", blackbox_trace=BlackBoxTrace, open_request_load=OpenRequestLoad
+)
 
 
 POLYNOMIAL = "polynomial"
@@ -195,31 +218,11 @@ class ServerSpec:
     """Static description of a physical server."""
 
     id: str
-    cores: int
-    core_speed: float  # work-units per second per core
-    ram_capacity: float  # MiB
+    cores: int = bounded(">= 1")
+    core_speed: float = bounded("finite and > 0")  # work-units per second per core
+    ram_capacity: float = bounded("finite and > 0")  # MiB
     power_model_id: str
-    idle_off_power: float = 0.0  # watts drawn while powered off
-
-    def check(self) -> list[str]:
-        errs = []
-        if self.cores < 1:
-            errs.append(f"server {self.id}: cores must be >= 1, got {self.cores}")
-        if not 0 < self.core_speed < math.inf:
-            errs.append(
-                f"server {self.id}: core_speed must be finite and > 0, got {self.core_speed}"
-            )
-        if not 0 < self.ram_capacity < math.inf:
-            errs.append(
-                f"server {self.id}: ram_capacity must be finite and > 0, "
-                f"got {self.ram_capacity}"
-            )
-        if not 0 <= self.idle_off_power < math.inf:
-            errs.append(
-                f"server {self.id}: idle_off_power must be finite and >= 0, "
-                f"got {self.idle_off_power}"
-            )
-        return errs
+    idle_off_power: float = bounded("finite and >= 0", default=0.0)  # watts drawn while off
 
 
 def host_capacity(server: ServerSpec) -> float:
@@ -241,9 +244,6 @@ class VmInstance:
     workload: WorkloadModel
     host: str | None = None
     initiator: Initiator = Initiator.TENANT
-
-    def check(self) -> list[str]:
-        return [f"vm {self.id}: {e}" for e in self.flavor.check() + self.workload.check()]
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,7 @@ def validate(model: DataCenterModel) -> list[str]:
         if server.id in seen_servers:
             errs.append(f"duplicate server id {server.id}")
         seen_servers.add(server.id)
-        errs.extend(server.check())
+        errs.extend(bound_errors(server, f"server {server.id}: "))
         if server.power_model_id not in model.power_models:
             errs.append(
                 f"server {server.id}: power_model_id {server.power_model_id!r} "
@@ -286,7 +286,9 @@ def validate(model: DataCenterModel) -> list[str]:
         if vm.id in seen_vms:
             errs.append(f"duplicate vm id {vm.id}")
         seen_vms.add(vm.id)
-        errs.extend(vm.check())
+        errs.extend(
+            f"vm {vm.id}: {e}" for e in bound_errors(vm.flavor, "flavor ") + vm.workload.check()
+        )
         if vm.host is None:
             errs.append(f"initial vm {vm.id} has no host assignment")
             continue
@@ -312,17 +314,17 @@ def validate(model: DataCenterModel) -> list[str]:
     return errs
 
 
-# --- JSON serialization ----------------------------------------------------
+# --- JSON documents ----------------------------------------------------------
+#
+# A document entity is a dataclass whose fields are its one declaration: a
+# field's key is its name, it is optional exactly when it has a default, it
+# is read by its annotation, a None in it is not written, and its bound is
+# in its metadata. Naming items and rules between entities stay by hand.
 
-_MODEL_KEYS = {"servers", "power_models", "initial_vms", "initial_power_states"}
-_SERVER_KEYS = {"id", "cores", "core_speed", "ram_capacity", "power_model_id", "idle_off_power"}
-_VM_KEYS = {"id", "flavor", "workload", "host", "initiator"}
 #: The Python types of a JSON number.
 _NUMBERS = {int, float}
 #: What a field of each kind must hold, as ``scalar`` says it.
 _KIND_TEXT = {int: "an integer", float: "a number", bool: "true or false"}
-#: The kind ``scalar`` checks for each field annotation of a config dataclass.
-_FIELD_KINDS = {"int": int, "float": float, "bool": bool}
 
 
 class ModelFormatError(ValueError):
@@ -342,38 +344,35 @@ def malformed(where: str, exc: Exception, path: str | None = None) -> ModelForma
     return ModelFormatError(f"{where}: {detail}")
 
 
-def reject_unknown(obj: Mapping, allowed: set[str], where: str | None = None) -> None:
+def _named(where: str, message: str) -> str:
+    return f"{where}: {message}" if where else message
+
+
+def reject_unknown(obj: Mapping, allowed: set[str], where: str = "") -> None:
     """Refuse ``obj`` if it is not a JSON object or has a key outside
     ``allowed``; ``where`` names ``obj`` when no ``malformed`` error around
     the call names it."""
     if not isinstance(obj, dict):
         message = "must be a JSON object"
-    elif unknown := set(obj) - allowed:
-        message = f"unknown keys {sorted(unknown)}"
+    elif not allowed.issuperset(obj):
+        message = f"unknown keys {sorted(set(obj) - allowed)}"
     else:
         return
-    raise ModelFormatError(message if where is None else f"{where}: {message}")
-
-
-def kind_of(obj, where: str, tag: str = "kind"):
-    """``obj[tag]`` or None, refusing an ``obj`` that is not a JSON object."""
-    if not isinstance(obj, dict):
-        reject_unknown(obj, set(), where)
-    return obj.get(tag)
+    raise ModelFormatError(_named(where, message))
 
 
 def scalar(value, name: str, kind: type = float):
     """``value`` as a ``kind``; the one rule for a number or boolean field
     named ``name``. A number is a JSON ``int`` or ``float``, an integer only
-    an ``int``, a boolean only ``true`` or ``false``: strings, ``null``, a
-    boolean for a number and ``2.5`` for an integer are refused."""
+    an ``int`` that a float can hold, a boolean only ``true`` or ``false``:
+    strings, ``null``, a boolean for a number and ``2.5`` for an integer are
+    refused."""
     if type(value) is kind or kind is float and type(value) is int:
-        if kind is not float:
-            return value
         try:
-            return float(value)
+            number = float(value)
         except OverflowError:
             raise _too_large(name) from None
+        return number if kind is float else value
     raise ModelFormatError(f"{name} must be {_KIND_TEXT[kind]}, got {value!r}")
 
 
@@ -391,35 +390,6 @@ def text(value, name: str) -> str:
     raise ModelFormatError(f"{name} must be a string, got {value!r}")
 
 
-def check_scalars(config) -> None:
-    """``scalar`` on every ``int``, ``float`` and ``bool`` field of the
-    dataclass ``config``."""
-    for f in fields(config):
-        kind = _FIELD_KINDS.get(f.type)
-        if kind is not None:
-            scalar(getattr(config, f.name), f"{type(config).__name__}: {f.name}", kind)
-
-
-def json_array(obj: Mapping, key: str) -> list:
-    """The JSON array of objects at ``key`` of ``obj``, empty if absent; the
-    error names the array, or the first item that is not an object."""
-    items = obj.get(key, [])
-    if not isinstance(items, list):
-        raise ModelFormatError(f"{key} must be a JSON array")
-    for index, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise ModelFormatError(f"{key}[{index}] must be a JSON object")
-    return items
-
-
-def json_object(obj: Mapping, key: str) -> dict:
-    """The JSON object at ``key`` of ``obj``, empty if absent."""
-    value = obj.get(key, {})
-    if not isinstance(value, dict):
-        raise ModelFormatError(f"{key} must be a JSON object")
-    return value
-
-
 def _number_pairs(rows, name: str) -> tuple[tuple[float, float], ...]:
     try:
         if type(rows) is list and set(map(type, chain.from_iterable(rows))) <= _NUMBERS:
@@ -431,145 +401,222 @@ def _number_pairs(rows, name: str) -> tuple[tuple[float, float], ...]:
     raise ModelFormatError(f"{name} must hold numbers as a JSON array of [x, y] pairs")
 
 
-def workload_to_dict(workload: WorkloadModel) -> dict:
-    if isinstance(workload, BlackBoxTrace):
-        return {
-            "kind": "blackbox_trace",
-            "segments": [[d, w] for d, w in workload.segments],
-        }
-    return {
-        "kind": "open_request_load",
-        "series": [[t, r] for t, r in workload.series],
-        "per_instance_capacity": workload.per_instance_capacity,
-    }
-
-
-def workload_from_dict(obj: Mapping) -> WorkloadModel:
-    kind = kind_of(obj, "workload")
-    if kind == "blackbox_trace":
-        reject_unknown(obj, {"kind", "segments"}, "workload")
-        return BlackBoxTrace(_number_pairs(obj["segments"], "workload: segments"))
-    if kind == "open_request_load":
-        reject_unknown(obj, {"kind", "series", "per_instance_capacity"}, "workload")
-        return OpenRequestLoad(
-            _number_pairs(obj["series"], "workload: series"),
-            scalar(obj["per_instance_capacity"], "workload: per_instance_capacity"),
-        )
-    raise ModelFormatError(f"workload: unknown kind {kind!r}")
-
-
-def flavor_to_dict(flavor: VmFlavor) -> dict:
-    return {"vcpus": flavor.vcpus, "ram": flavor.ram}
-
-
-def flavor_from_dict(obj: Mapping) -> VmFlavor:
-    reject_unknown(obj, {"vcpus", "ram"}, "flavor")
-    return VmFlavor(scalar(obj["vcpus"], "flavor: vcpus", int), scalar(obj["ram"], "flavor: ram"))
-
-
-def power_model_to_dict(pm: PowerModel) -> dict:
-    return {"family": pm.family, "coefficients": list(pm.coefficients)}
-
-
-def power_model_from_dict(obj: Mapping) -> PowerModel:
-    reject_unknown(obj, {"family", "coefficients"})
-    coefficients = obj["coefficients"]
-    if type(coefficients) is not list or not set(map(type, coefficients)) <= _NUMBERS:
-        raise ModelFormatError(f"coefficients must be numbers in an array, got {coefficients!r}")
+def _numbers(values, name: str) -> tuple[float, ...]:
+    if type(values) is not list or not set(map(type, values)) <= _NUMBERS:
+        raise ModelFormatError(f"{name} must be numbers in an array, got {values!r}")
     try:
-        coefficients = tuple(map(float, coefficients))
+        return tuple(map(float, values))
     except OverflowError:
-        raise _too_large("coefficients") from None
-    return PowerModel(text(obj["family"], "family"), coefficients)
+        raise _too_large(name) from None
 
 
-def vm_to_dict(vm: VmInstance) -> dict:
-    return {
-        "id": vm.id,
-        "flavor": flavor_to_dict(vm.flavor),
-        "workload": workload_to_dict(vm.workload),
-        "host": vm.host,
-        "initiator": vm.initiator.value,
-    }
+#: The reader of each field annotation that is not a dataclass, an enum or
+#: a union: (JSON value, field name) -> value. Only a ``str | None`` field
+#: reads ``null`` as None; any other optional field, given, holds a value.
+_READERS: dict[object, Callable] = {
+    int: lambda value, name: scalar(value, name, int),
+    float: scalar,
+    str: text,
+    str | None: lambda value, name: None if value is None else text(value, name),
+    tuple[tuple[float, float], ...]: _number_pairs,
+    tuple[float, ...]: _numbers,
+}
 
 
-def vm_from_dict(obj: Mapping) -> VmInstance:
-    reject_unknown(obj, _VM_KEYS)
-    host = obj.get("host")
-    initiator = obj.get("initiator", Initiator.TENANT)
-    if initiator not in INITIATORS:
-        raise ModelFormatError(f"initiator must be one of {list(INITIATORS)}, got {initiator!r}")
-    return VmInstance(
-        id=text(obj["id"], "id"),
-        flavor=flavor_from_dict(obj["flavor"]),
-        workload=workload_from_dict(obj["workload"]),
-        host=None if host is None else text(host, "host"),
-        initiator=Initiator(initiator),
-    )
+def _union_reader(union: Tagged, name: str) -> Callable:
+    plans = {tag: _plan(member, name, union.key) for tag, member in union.members.items()}
+
+    def read(value, name):
+        if type(value) is not dict:
+            reject_unknown(value, set(), name)
+        tag = value.get(union.key)
+        plan = plans.get(tag) if type(tag) is str else None
+        if plan is None:
+            raise ModelFormatError(f"{name}: unknown {union.what} {tag!r}")
+        return _read(plan, value)
+    return read
 
 
-def server_from_dict(obj: Mapping) -> ServerSpec:
-    reject_unknown(obj, _SERVER_KEYS)
-    return ServerSpec(
-        id=text(obj["id"], "id"),
-        cores=scalar(obj["cores"], "cores", int),
-        core_speed=scalar(obj["core_speed"], "core_speed"),
-        ram_capacity=scalar(obj["ram_capacity"], "ram_capacity"),
-        power_model_id=text(obj["power_model_id"], "power_model_id"),
-        idle_off_power=scalar(obj.get("idle_off_power", 0.0), "idle_off_power"),
-    )
+def _reader(hint, name: str) -> Callable:
+    """The reader of a field annotated ``hint`` and named ``name``."""
+    if hint in _READERS:
+        return _READERS[hint]
+    if get_origin(hint) is Annotated:
+        return _union_reader(hint.__metadata__[0], name)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        values = [member.value for member in hint]
+
+        def read(value, name):
+            if value in values:
+                return hint(value)
+            raise ModelFormatError(f"{name} must be one of {values}, got {value!r}")
+        return read
+    if is_dataclass(hint):
+        plan = _plan(hint, name)
+        return lambda value, name: _read(plan, value)
+    (member,) = (arg for arg in get_args(hint) if arg is not type(None))  # X | None
+    return _reader(member, name)
 
 
-def model_to_dict(model: DataCenterModel) -> dict:
-    return {
-        "servers": [
-            {
-                "id": s.id,
-                "cores": s.cores,
-                "core_speed": s.core_speed,
-                "ram_capacity": s.ram_capacity,
-                "power_model_id": s.power_model_id,
-                "idle_off_power": s.idle_off_power,
-            }
-            for s in model.servers
-        ],
-        "power_models": {
-            pm_id: power_model_to_dict(pm) for pm_id, pm in model.power_models.items()
-        },
-        "initial_vms": [vm_to_dict(vm) for vm in model.initial_vms],
-        "initial_power_states": dict(model.initial_power_states),
-    }
+def _writer(hint) -> Callable | None:
+    """The writer of a field annotated ``hint``; None writes the value as it is."""
+    origin = get_origin(hint)
+    if origin is Annotated:
+        union = hint.__metadata__[0]
+        tags = {member: tag for tag, member in union.members.items()}
+
+        def write(value):
+            out = to_json(value)
+            out[union.key] = tags[type(value)]
+            return out
+        return write
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return lambda value: value.value
+    if is_dataclass(hint):
+        return to_json
+    if origin in (tuple, list):
+        item = _writer(get_args(hint)[0])
+        return list if item is None else lambda value: [item(v) for v in value]
+    if origin in (dict, Mapping):
+        item = _writer(get_args(hint)[1])
+        return dict if item is None else lambda value: {k: item(v) for k, v in value.items()}
+    if origin in (Union, types.UnionType):  # X | None: a None is never written
+        return _writer(next(arg for arg in get_args(hint) if arg is not type(None)))
+    return None
+
+
+class _Plan:
+    """What reading, writing and checking one dataclass takes, worked out
+    once: its keys (with ``tag``, the key that names it in a union), each
+    field's reader, writer and bound, and the name of each field in an
+    error inside the entity named ``where``."""
+
+    def __init__(self, cls: type, where: str = "", tag: str | None = None) -> None:
+        hints = get_type_hints(cls, include_extras=True)
+        self.cls = cls
+        self.where = where
+        self.fields = [(f, hints[f.name]) for f in fields(cls)]
+        self.keys = frozenset([f.name for f in fields(cls)] + ([tag] if tag else []))
+        self.bounds = [
+            (f.name, *f.metadata["bound"]) for f in fields(cls) if "bound" in f.metadata
+        ]
+
+    @functools.cached_property
+    def readers(self) -> list[tuple[str, Callable, str, object]]:
+        return [
+            (f.name, _reader(hint, name), name, f.default)
+            for f, hint in self.fields
+            for name in [_named(self.where, f.name)]
+        ]
+
+    @functools.cached_property
+    def writers(self) -> list[tuple[str, Callable | None]]:
+        return [(f.name, _writer(hint)) for f, hint in self.fields]
+
+
+_plan = functools.cache(_Plan)
+
+
+def _read(plan: _Plan, obj):
+    keys = plan.keys
+    if type(obj) is not dict or not keys.issuperset(obj):
+        reject_unknown(obj, keys, plan.where)
+    values = []
+    for key, read, name, default in plan.readers:
+        if key in obj:
+            values.append(read(obj[key], name))
+        elif default is MISSING:
+            raise ModelFormatError(_named(plan.where, f"missing key {key!r}"))
+        else:
+            values.append(default)
+    return plan.cls(*values)
+
+
+def from_json(cls: type, obj, where: str = ""):
+    """The ``cls`` that the JSON object ``obj`` holds; an error names the
+    field inside the entity named ``where``."""
+    return _read(_plan(cls, where), obj)
+
+
+def to_json(value) -> dict:
+    """The JSON object that holds the dataclass ``value``."""
+    out = {}
+    for key, write in _plan(type(value)).writers:
+        item = getattr(value, key)
+        if item is not None:
+            out[key] = item if write is None else write(item)
+    return out
+
+
+#: The name the fit-power output is written by.
+power_model_to_dict = to_json
+
+
+def bound_errors(obj, prefix: str = "") -> list[str]:
+    """One entry, starting with ``prefix``, per field of the dataclass
+    ``obj`` whose value breaks its declared bound."""
+    errs = []
+    for name, holds, rule in _plan(type(obj)).bounds:
+        value = getattr(obj, name)
+        if not holds(value):
+            errs.append(f"{prefix}{name} must be {rule}, got {value!r}")
+    return errs
+
+
+def check_scalars(config) -> None:
+    """``scalar`` on every ``int``, ``float`` and ``bool`` field of the
+    dataclass ``config``."""
+    for f, hint in _plan(type(config)).fields:
+        if hint in _KIND_TEXT:
+            scalar(getattr(config, f.name), f"{type(config).__name__}: {f.name}", hint)
+
+
+def json_object(obj: Mapping, key: str) -> dict:
+    """The JSON object at ``key`` of ``obj``, empty if absent."""
+    value = obj.get(key, {})
+    if not isinstance(value, dict):
+        raise ModelFormatError(f"{key} must be a JSON object")
+    return value
+
+
+def read_array(cls: type, obj: Mapping, key: str, entity: str) -> list:
+    """``from_json(cls, item)`` of each item of the JSON array at ``key`` of
+    ``obj``, empty if absent. An error names the array, or the first item
+    that is not an object, or the item as ``entity`` formats its id, or by
+    its index."""
+    items = obj.get(key, [])
+    if not isinstance(items, list):
+        raise ModelFormatError(f"{key} must be a JSON array")
+    for index, raw in enumerate(items):
+        if not isinstance(raw, dict):
+            raise ModelFormatError(f"{key}[{index}] must be a JSON object")
+    out = []
+    for index, raw in enumerate(items):
+        try:
+            out.append(from_json(cls, raw))
+        except MALFORMED as exc:
+            where = entity.format(raw["id"]) if "id" in raw else f"{key}[{index}]"
+            raise malformed(where, exc) from exc
+    return out
 
 
 def model_from_dict(obj: Mapping) -> DataCenterModel:
     """Build a model. A malformed server, power model or initial VM is
     named as ``scenario_from_dict`` names a template or event."""
-    reject_unknown(obj, _MODEL_KEYS, "data center model")
-    servers = []
-    for index, raw in enumerate(json_array(obj, "servers")):
-        try:
-            servers.append(server_from_dict(raw))
-        except MALFORMED as exc:
-            where = f"server {raw['id']}" if "id" in raw else f"servers[{index}]"
-            raise malformed(where, exc) from exc
+    reject_unknown(obj, {f.name for f in fields(DataCenterModel)}, "data center model")
+    servers = tuple(read_array(ServerSpec, obj, "servers", "server {}"))
     power_models = {}
     for pm_id, raw in json_object(obj, "power_models").items():
         try:
-            power_models[str(pm_id)] = power_model_from_dict(raw)
+            power_models[str(pm_id)] = from_json(PowerModel, raw)
         except MALFORMED as exc:
             raise malformed(f"power model {pm_id}", exc) from exc
-    initial_vms = []
-    for index, raw in enumerate(json_array(obj, "initial_vms")):
-        try:
-            initial_vms.append(vm_from_dict(raw))
-        except MALFORMED as exc:
-            where = f"vm {raw['id']}" if "id" in raw else f"initial_vms[{index}]"
-            raise malformed(where, exc) from exc
+    initial_vms = tuple(read_array(VmInstance, obj, "initial_vms", "vm {}"))
     power_states = {
         str(k): text(v, f"initial power state for {k}")
         for k, v in json_object(obj, "initial_power_states").items()
     }
-    return DataCenterModel(tuple(servers), power_models, tuple(initial_vms), power_states)
+    return DataCenterModel(servers, power_models, initial_vms, power_states)
 
 
 def json_text(obj) -> str:
@@ -579,7 +626,7 @@ def json_text(obj) -> str:
 
 
 def dump_model(model: DataCenterModel) -> str:
-    return json_text(model_to_dict(model))
+    return json_text(to_json(model))
 
 
 def json_document(source: str, what: str, path=None) -> dict:

@@ -9,8 +9,7 @@ what makes orchestrated deployments expressible.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
 from .algorithms import OPTIMIZER_ALGORITHMS
@@ -19,20 +18,18 @@ from .model import (
     ModelFormatError,
     VmFlavor,
     WorkloadModel,
-    flavor_from_dict,
-    flavor_to_dict,
-    json_array,
+    bound_errors,
+    bounded,
+    from_json,
     json_document,
     json_object,
     json_text,
-    kind_of,
     malformed,
+    read_array,
     read_json_document,
     reject_unknown,
-    scalar,
-    text,
-    workload_from_dict,
-    workload_to_dict,
+    tagged,
+    to_json,
 )
 
 #: A malformed scenario is refused with the error class of a malformed model.
@@ -41,16 +38,16 @@ ScenarioError = ModelFormatError
 
 @dataclass(frozen=True)
 class AbsoluteTime:
-    time: float  # seconds from scenario start
+    time: float = bounded("finite and >= 0")  # seconds from scenario start
 
 
 @dataclass(frozen=True)
 class RelativeTo:
     reference: str  # event id whose completion this trigger chains off
-    offset: float  # seconds after the reference completes
+    offset: float = bounded("finite and >= 0")  # seconds after the reference completes
 
 
-Trigger = AbsoluteTime | RelativeTo
+Trigger = tagged("type", "trigger type", absolute=AbsoluteTime, relative=RelativeTo)
 
 
 @dataclass(frozen=True)
@@ -74,14 +71,16 @@ class ReconfigureOptimisationAlgorithm:
 
 @dataclass(frozen=True)
 class ChangeOptimisationInterval:
-    interval: float  # seconds, > 0
+    interval: float = bounded("finite and > 0")  # seconds
 
 
-Request = (
-    StartApplication
-    | StopApplication
-    | ReconfigureOptimisationAlgorithm
-    | ChangeOptimisationInterval
+Request = tagged(
+    "type",
+    "request type",
+    start_application=StartApplication,
+    stop_application=StopApplication,
+    reconfigure_optimisation_algorithm=ReconfigureOptimisationAlgorithm,
+    change_optimisation_interval=ChangeOptimisationInterval,
 )
 
 
@@ -118,7 +117,8 @@ def check_scenario(scenario: ExperimentScenario, known_vm_ids: Iterable[str] = (
     """Raise ScenarioError on any violated scenario invariant."""
     for tid, template in scenario.templates.items():
         _raise_problems(
-            f"template {tid!r}", template.flavor.check() + template.workload.check()
+            f"template {tid!r}",
+            bound_errors(template.flavor, "flavor ") + template.workload.check(),
         )
 
     events: dict[str, TimelineEvent] = {}
@@ -136,7 +136,7 @@ def check_scenario(scenario: ExperimentScenario, known_vm_ids: Iterable[str] = (
             )
         if req.flavor_override is not None:
             _raise_problems(
-                f"event {ev.id!r} flavor_override", req.flavor_override.check()
+                f"event {ev.id!r} flavor_override", bound_errors(req.flavor_override, "flavor ")
             )
         if req.vm_id in scenario_vm_ids:
             raise ScenarioError(
@@ -145,20 +145,12 @@ def check_scenario(scenario: ExperimentScenario, known_vm_ids: Iterable[str] = (
         scenario_vm_ids.add(req.vm_id)
 
     for ev in scenario.events:
-        if isinstance(ev.trigger, AbsoluteTime):
-            if not 0 <= ev.trigger.time < math.inf:
-                raise ScenarioError(
-                    f"event {ev.id!r} absolute time must be finite and >= 0"
-                )
-        else:
-            if ev.trigger.reference not in events:
-                raise ScenarioError(
-                    f"event {ev.id!r} references missing event {ev.trigger.reference!r}"
-                )
-            if not 0 <= ev.trigger.offset < math.inf:
-                raise ScenarioError(
-                    f"event {ev.id!r} relative offset must be finite and >= 0"
-                )
+        if problems := bound_errors(ev.trigger) + bound_errors(ev.request):
+            raise ScenarioError(f"event {ev.id!r} " + "; ".join(problems))
+        if isinstance(ev.trigger, RelativeTo) and ev.trigger.reference not in events:
+            raise ScenarioError(
+                f"event {ev.id!r} references missing event {ev.trigger.reference!r}"
+            )
         if isinstance(ev.request, StopApplication):
             target = ev.request.target
             if target not in events and target not in scenario_vm_ids:
@@ -171,9 +163,6 @@ def check_scenario(scenario: ExperimentScenario, known_vm_ids: Iterable[str] = (
                 raise ScenarioError(
                     f"stop event {ev.id!r} target {target!r} is not a start event"
                 )
-        if isinstance(ev.request, ChangeOptimisationInterval):
-            if not 0 < ev.request.interval < math.inf:
-                raise ScenarioError(f"event {ev.id!r} interval must be finite and > 0")
         if isinstance(ev.request, ReconfigureOptimisationAlgorithm):
             if ev.request.algorithm not in OPTIMIZER_ALGORITHMS:
                 raise ScenarioError(
@@ -197,87 +186,7 @@ def check_scenario(scenario: ExperimentScenario, known_vm_ids: Iterable[str] = (
             seen.add(node)
 
 
-# --- JSON serialization ----------------------------------------------------
-
-
-def _trigger_to_dict(trigger: Trigger) -> dict:
-    if isinstance(trigger, AbsoluteTime):
-        return {"type": "absolute", "time": trigger.time}
-    return {"type": "relative", "reference": trigger.reference, "offset": trigger.offset}
-
-
-def _trigger_from_dict(obj: Mapping) -> Trigger:
-    kind = kind_of(obj, "trigger", "type")
-    if kind == "absolute":
-        reject_unknown(obj, {"type", "time"}, "trigger")
-        return AbsoluteTime(scalar(obj["time"], "trigger: time"))
-    if kind == "relative":
-        reject_unknown(obj, {"type", "reference", "offset"}, "trigger")
-        return RelativeTo(text(obj["reference"], "trigger: reference"),
-                          scalar(obj["offset"], "trigger: offset"))
-    raise ScenarioError(f"unknown trigger type {kind!r}")
-
-
-def _request_to_dict(request: Request) -> dict:
-    if isinstance(request, StartApplication):
-        out: dict = {
-            "type": "start_application",
-            "template": request.template,
-            "vm_id": request.vm_id,
-        }
-        if request.flavor_override is not None:
-            out["flavor_override"] = flavor_to_dict(request.flavor_override)
-        return out
-    if isinstance(request, StopApplication):
-        return {"type": "stop_application", "target": request.target}
-    if isinstance(request, ReconfigureOptimisationAlgorithm):
-        return {"type": "reconfigure_optimisation_algorithm", "algorithm": request.algorithm}
-    return {"type": "change_optimisation_interval", "interval": request.interval}
-
-
-def _request_from_dict(obj: Mapping) -> Request:
-    kind = kind_of(obj, "request", "type")
-    if kind == "start_application":
-        reject_unknown(obj, {"type", "template", "vm_id", "flavor_override"}, "request")
-        return StartApplication(
-            template=text(obj["template"], "request: template"),
-            vm_id=text(obj["vm_id"], "request: vm_id"),
-            flavor_override=(
-                flavor_from_dict(obj["flavor_override"]) if "flavor_override" in obj else None
-            ),
-        )
-    if kind == "stop_application":
-        reject_unknown(obj, {"type", "target"}, "request")
-        return StopApplication(target=text(obj["target"], "request: target"))
-    if kind == "reconfigure_optimisation_algorithm":
-        reject_unknown(obj, {"type", "algorithm"}, "request")
-        return ReconfigureOptimisationAlgorithm(
-            algorithm=text(obj["algorithm"], "request: algorithm")
-        )
-    if kind == "change_optimisation_interval":
-        reject_unknown(obj, {"type", "interval"}, "request")
-        return ChangeOptimisationInterval(interval=scalar(obj["interval"], "request: interval"))
-    raise ScenarioError(f"unknown request type {kind!r}")
-
-
-def scenario_to_dict(scenario: ExperimentScenario) -> dict:
-    return {
-        "templates": {
-            tid: {
-                "flavor": flavor_to_dict(tpl.flavor),
-                "workload": workload_to_dict(tpl.workload),
-            }
-            for tid, tpl in scenario.templates.items()
-        },
-        "events": [
-            {
-                "id": ev.id,
-                "trigger": _trigger_to_dict(ev.trigger),
-                "request": _request_to_dict(ev.request),
-            }
-            for ev in scenario.events
-        ],
-    }
+# --- JSON documents -----------------------------------------------------------
 
 
 def scenario_from_dict(
@@ -289,30 +198,17 @@ def scenario_from_dict(
     a malformed workload also by the path it was read from if
     ``workload_files`` has one, and an event that is not an object or has
     no id by its index. Unknown keys are refused at every level."""
-    reject_unknown(obj, {"templates", "events"}, "scenario")
+    reject_unknown(obj, {f.name for f in fields(ExperimentScenario)}, "scenario")
     templates: dict[str, ApplicationTemplate] = {}
     for tid, raw in json_object(obj, "templates").items():
-        path = None  # the workload file's, while the workload is read
         try:
-            reject_unknown(raw, {"flavor", "workload"})
-            flavor = flavor_from_dict(raw["flavor"])
-            path = (workload_files or {}).get(tid)
-            workload = workload_from_dict(raw["workload"])
+            templates[str(tid)] = from_json(ApplicationTemplate, raw)
         except MALFORMED as exc:
+            # a fault inside the workload is in its file, if it has one
+            inside = str(exc).startswith("workload:")
+            path = (workload_files or {}).get(tid) if inside else None
             raise malformed(f"template {tid!r}", exc, path) from exc
-        templates[str(tid)] = ApplicationTemplate(flavor, workload)
-    events = []
-    for index, raw in enumerate(json_array(obj, "events")):
-        try:
-            reject_unknown(raw, {"id", "trigger", "request"})
-            events.append(TimelineEvent(
-                id=text(raw["id"], "id"),
-                trigger=_trigger_from_dict(raw["trigger"]),
-                request=_request_from_dict(raw["request"]),
-            ))
-        except MALFORMED as exc:
-            where = f"event {raw['id']!r}" if "id" in raw else f"events[{index}]"
-            raise malformed(where, exc) from exc
+    events = read_array(TimelineEvent, obj, "events", "event {!r}")
     scenario = ExperimentScenario(events=events, templates=templates)
     check_scenario(scenario, known_vm_ids)
     return scenario
@@ -320,7 +216,7 @@ def scenario_from_dict(
 
 def serialize_scenario(scenario: ExperimentScenario) -> str:
     """Scenario to a JSON document; inverse of parse_scenario."""
-    return json_text(scenario_to_dict(scenario))
+    return json_text(to_json(scenario))
 
 
 def parse_scenario(source: str, known_vm_ids: Iterable[str] = ()) -> ExperimentScenario:

@@ -253,6 +253,8 @@ class SimulationState:
     # -- scheduling ----------------------------------------------------------
 
     def schedule(self, time: float, kind: str, payload: tuple = ()) -> SimEvent:
+        if time < self.now:
+            raise RuntimeError(f"{kind} scheduled at {time}, before now ({self.now})")
         event = SimEvent(time, self.sequence, kind, payload)
         self.sequence += 1
         heapq.heappush(self._queue, event)

@@ -234,6 +234,12 @@ class TestSimulate:
         pytest.param("model", ("initial_vms",), [dict(VM_V1, initiator=5)],
                      "vm v1: initiator must be one of ['tenant', 'autoscaler'], got 5",
                      id="initiator-int"),
+        pytest.param("model", ("servers", 0, "cores"), 10**400,
+                     "server s1: cores: integer too large for a float",
+                     id="model-cores-10**400"),
+        pytest.param("scenario", ("templates", "tpl", "flavor", "vcpus"), 10**400,
+                     "template 'tpl': flavor: vcpus: integer too large for a float",
+                     id="scenario-vcpus-10**400"),
     ])
     def test_malformed_value_names_entity(self, inputs, capsys, document, path, value,
                                           entity):

@@ -1089,3 +1089,96 @@ def test_vm_ended_while_migrating_never_cuts_over():
         "submitted", "started", "terminated"
     ]
     assert sim.servers["s2"].free_ram == sim.servers["s2"].spec.ram_capacity
+
+
+def test_tier_points_before_its_start_hold_at_the_start():
+    """An initial tier whose series starts before t=0 runs at the rate in
+    force at 0 (30 req/s, from the point at -20): 0.3 of one vcpu on a
+    host of capacity 10. A point before the start is never scheduled, so
+    the clock does not run backwards."""
+    from dcsim.model import OpenRequestLoad
+
+    load = OpenRequestLoad(((-50.0, 50.0), (-20.0, 30.0), (100.0, 5.0)),
+                           per_instance_capacity=100.0)
+    vm = VmInstance("web", VmFlavor(1, 1024.0), load, host="s1")
+    report = run(make_model(1, initial_vms=[vm]), ExperimentScenario(events=[]), NO_ALGO,
+                 SimConfig(end_time=200.0))
+    (t0, u0), (t1, u1) = report.utilization["s1"]
+    assert (t0, t1) == (0.0, 100.0)
+    assert u0 == pytest.approx(0.03) and u1 == pytest.approx(0.005)
+
+
+def test_schedule_refuses_a_time_before_now(two_server_model):
+    from tests.conftest import make_harness
+
+    sim = make_harness(two_server_model).sim
+    sim.now = 10.0
+    with pytest.raises(RuntimeError, match="before now"):
+        sim.schedule(9.0, "measurement_sample", ())
+    sim.schedule(10.0, "measurement_sample", ())
+
+
+def test_tier_demand_scales_with_its_vcpus():
+    """A fully loaded instance demands ``vcpus`` work-units per second:
+    half load on a 2-vcpu instance is 1.0 of the host's 10."""
+    from dcsim.model import OpenRequestLoad
+
+    load = OpenRequestLoad(((0.0, 50.0),), per_instance_capacity=100.0)
+    vm = VmInstance("web", VmFlavor(2, 1024.0), load, host="s1")
+    report = run(make_model(1, initial_vms=[vm]), ExperimentScenario(events=[]), NO_ALGO,
+                 SimConfig(end_time=100.0))
+    assert report.utilization["s1"] == [(0.0, pytest.approx(0.1))]
+
+
+def test_relative_event_due_at_the_horizon_runs(two_server_model):
+    from dcsim.scenario import RelativeTo
+
+    scenario = ExperimentScenario(events=[
+        TimelineEvent("e1", AbsoluteTime(0.0), ReconfigureOptimisationAlgorithm("none")),
+        TimelineEvent("e2", RelativeTo("e1", 100.0), ReconfigureOptimisationAlgorithm("none")),
+    ])
+    report = run(two_server_model, scenario, NO_ALGO, SimConfig(end_time=100.0))
+    times = [a.time for a in report.actions if a.action == "reconfigure-optimizer"]
+    assert times == [0.0, 100.0]
+
+
+@pytest.mark.parametrize("name", [
+    "end_time", "measurement_interval", "optimizer_interval", "autoscaler_interval",
+    "migration_bandwidth",
+])
+def test_sim_config_refuses_zero_where_it_must_be_positive(name):
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0, got 0.0"):
+        SimConfig(**{"end_time": 100.0, name: 0.0})
+
+
+def test_sim_config_accepts_zero_latencies():
+    config = SimConfig(end_time=100.0, boot_latency=0.0, placement_decision_latency=0.0,
+                       power_transition_latency=0.0)
+    assert config.boot_latency == config.placement_decision_latency == 0.0
+
+
+def _report(actions=(), app_instance_counts=None, end_time=40.0):
+    from dcsim.engine import SimulationReport
+
+    return SimulationReport(
+        end_time=end_time, seed=0, utilization={}, power={}, energy_wh={},
+        total_energy_wh=0.0, actions=list(actions), vm_records={}, autoscaler_series=[],
+        app_instance_counts=app_instance_counts or {},
+    )
+
+
+def test_placements_hold_only_enacted_places():
+    from dcsim.state import ActionEntry
+
+    report = _report([
+        ActionEntry(0.0, "place", "a->s1", "enacted"),
+        ActionEntry(1.0, "place", "b->s2", "rejected: no feasible server"),
+        ActionEntry(2.0, "migrate", "a->s2", "enacted"),
+    ])
+    assert report.placements() == [("a", "s1")]
+
+
+def test_mean_instances_is_area_over_span():
+    # 2 instances for 10 s, then 4 for 20 s: 100 instance-seconds over 30 s
+    report = _report(app_instance_counts={"web": [(10.0, 2), (20.0, 4)]}, end_time=40.0)
+    assert report.mean_instances("web") == pytest.approx(100.0 / 30.0)
