@@ -142,7 +142,7 @@ def sample_measurements(sim: SimulationState) -> None:
         if vm.state in EXECUTING:
             sim.metrics.append(
                 MetricSample(t, "vm", vm_id, "vm_cpu_utilization",
-                             vm.granted_rate / capacity[vm.host])
+                             vm.demand * sim.servers[vm.host].share / capacity[vm.host])
             )
 
 
@@ -468,7 +468,10 @@ def run(
     """Simulate the scenario against the model and return the full report."""
     engine = _Engine(model, scenario, algorithms, config)
     report = engine.run()
-    # The handlers are bound methods of the engine. Dropping them frees the
-    # kernel state here, not at whichever later full collection finds the cycle.
+    # The handlers are bound methods of the engine, and a tier's serving
+    # instances refer back to the tier. Dropping both frees the kernel state
+    # here, not at whichever later full collection finds the cycles.
     engine.handlers.clear()
+    for app in engine.sim.apps.values():
+        app.serving.clear()
     return report

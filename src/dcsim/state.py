@@ -17,23 +17,34 @@ trace. A trace VM that executes always has a current segment:
 executing, and ``seg_idx`` passes the last segment only in
 ``finish_segment``, just before the VM completes.
 
-A VM's demand and a host's load are derived only in ``refresh_host``: it
-sets ``VmRuntime.demand`` for each VM executing on the host (its current
-trace segment's demand or its tier's per-instance demand) and derives
-utilization and power from those demands. ``advance_host`` and the runtime
-view read ``demand`` (still 0.0 on a VM that has never executed); readers
-take utilization and power from the last points of the series. The engine
-refreshes every host at t=0, before anything reads them.
+A VM's demand, ``VmRuntime.demand``, is kept where it changes:
+``init_segment`` sets a trace VM's to its current segment's, ``finish_boot``
+sets a tier VM's to its tier's per-instance demand, and
+``recompute_app_demand`` writes a new per-instance demand to the tier's
+executing instances (``AppRuntime.serving``). It is still 0.0 on a VM that
+has never executed. A host's load is derived only in ``refresh_host``: it
+sums the demands of the VMs executing on the host and derives utilization,
+power and the host's one processor share, ``ServerRuntime.share`` (see
+``gps_share``). A VM executing on the host is granted ``demand * share``
+work-units per second, computed where it is read and never stored.
+Every change to a demand or to a host's executing VMs is followed by a
+refresh of the host before any reader runs. Readers take utilization and
+power from the last points of the series. The engine refreshes every host
+at t=0, before anything reads them.
 
 Each host lists the VMs it reserves RAM for, as objects in reservation
 order (``ServerRuntime.reserved``; two hosts list a migrating VM), and
-keeps three values derived from it: ``free_ram``, ``running`` (the VMs
+keeps four values derived from it: ``free_ram``, ``running`` (the VMs
 executing on the host, in ``reserved`` order, which breaks ties between
-simultaneous boundaries) and ``view`` (the host's part of the runtime view,
-which ``sync_measurements`` fills). ``_host_changed`` is their one writer:
-it re-derives the first two and drops the third, and every change to the
-host, its ``reserved`` list or the host or state of a VM on it calls it.
-``refresh_host`` drops ``view`` too, since utilization is part of it.
+simultaneous boundaries), ``traces`` (the trace VMs of ``running``, in its
+order: the only VMs with segment work to settle or a boundary to time) and
+``view`` (the host's part of the runtime view, which ``sync_measurements``
+fills). ``_host_changed`` is their one writer: it re-derives the first
+three and drops the fourth, and every change to the host, its ``reserved``
+list or the host or state of a VM on it calls it. ``refresh_host`` drops
+``view`` too, since utilization is part of it. Each tier keeps
+``serving``, its executing instances in ``instance_ids`` order, which
+``_serving_changed`` re-derives where an instance starts or ends.
 ``SimulationState.live_vms`` indexes the VMs not yet in a terminal state,
 in creation order.
 
@@ -84,12 +95,25 @@ def proportional_share_rates(demands: Sequence[float], capacity: float) -> list[
     If total demand fits the capacity every VM receives exactly its demand;
     otherwise each receives ``demand * capacity / total``, so the granted
     total equals ``min(total, capacity)``.
+
+    The kernel grants ``demand * gps_share(total, capacity)`` instead, which
+    is bitwise the same; this list form is the reference that the tests and
+    their brute-force oracles import.
     """
     total = sum(demands)
     if total <= capacity:
         return list(demands)
     scale = capacity / total
     return [d * scale for d in demands]
+
+
+def gps_share(total: float, capacity: float) -> float:
+    """The one factor by which generalized processor sharing scales every
+    demand on a host whose demands sum to ``total``: 1.0 when they fit
+    ``capacity``, else ``capacity / total``. ``d * 1.0 == d``, so
+    ``d * gps_share(sum(demands), capacity)`` is bitwise the rate
+    ``proportional_share_rates`` grants ``d``."""
+    return 1.0 if total <= capacity else capacity / total
 
 
 def check_instance_names(vms: list[tuple[str, WorkloadModel]]) -> None:
@@ -183,8 +207,8 @@ class VmRuntime:
     # segment demands CPU, wall-clock seconds while it is idle (demand 0).
     seg_idx: int = 0
     seg_remaining: float = 0.0
-    demand: float = 0.0  # work-units/s asked while executing; set by refresh_host
-    granted_rate: float = 0.0
+    # work-units/s asked while executing; granted demand * its host's share
+    demand: float = 0.0
 
     @property
     def end_kind(self) -> str:
@@ -199,6 +223,8 @@ class ServerRuntime:
     pending_power: str | None = None
     reserved: list[VmRuntime] = field(default_factory=list)  # reserving RAM here, in order
     running: list[VmRuntime] = field(default_factory=list)  # executing here, in reserved order
+    traces: list[VmRuntime] = field(default_factory=list)  # running's trace VMs, in its order
+    share: float = 1.0  # gps_share of running's demands, set by refresh_host
     timer_epoch: int = 0  # invalidates the pending segment-boundary timer
     settled_at: float = 0.0  # when advance_host last settled the running VMs' work
     util_points: list[tuple[float, float]] = field(default_factory=list)
@@ -222,6 +248,7 @@ class AppRuntime:
     load: OpenRequestLoad
     flavor: VmFlavor
     instance_ids: list[str] = field(default_factory=list)  # commissioned, in order
+    serving: list[VmRuntime] = field(default_factory=list)  # executing, in instance_ids order
     next_seq: int = 1
     instance_demand: float = 0.0
     count_points: list[tuple[float, int]] = field(default_factory=list)
@@ -302,46 +329,38 @@ class SimulationState:
         server = self.servers[server_id]
         dt = self.now - server.settled_at
         if dt > 0:
-            for vm in server.running:
-                if vm.app is None:
-                    if vm.demand > 0:
-                        vm.seg_remaining -= vm.granted_rate * dt
-                    else:
-                        vm.seg_remaining -= dt
+            share = server.share
+            for vm in server.traces:
+                if vm.demand > 0:
+                    vm.seg_remaining -= vm.demand * share * dt
+                else:
+                    vm.seg_remaining -= dt
         server.settled_at = self.now
 
     def refresh_host(self, server_id: str) -> None:
-        """Re-derive demands and granted rates, re-arm the boundary timer,
-        re-record the series."""
+        """Re-derive the host's share, re-arm the boundary timer, re-record
+        the series."""
         now = self.now
         server = self.servers[server_id]
-        running = server.running
-        demands = []
-        for vm in running:
-            if vm.app is None:
-                vm.demand = vm.workload.segments[vm.seg_idx][1]
-            else:
-                vm.demand = vm.app.instance_demand
-            demands.append(vm.demand)
+        total = sum([vm.demand for vm in server.running])
         cap = host_capacity(server.spec)
-        rates = proportional_share_rates(demands, cap)
+        share = server.share = gps_share(total, cap)
         server.timer_epoch += 1
         server.view = None
         first: VmRuntime | None = None
         first_at = math.inf
-        for vm, rate in zip(running, rates):
-            vm.granted_rate = rate
-            # when the VM's current segment ends at its granted rate
-            if vm.app is not None:
-                continue
+        for vm in server.traces:
+            # when the VM's current segment ends at demand * share
             remaining = max(vm.seg_remaining, 0.0)
             if vm.demand <= 0:
                 at = now + remaining
-            elif rate <= 0.0:
-                # a granted rate of zero only arises from degenerate (denormal)
-                # demands; such a VM is starved and never finishes the segment
-                continue
             else:
+                rate = vm.demand * share
+                if rate <= 0.0:
+                    # a grant of zero only arises from degenerate
+                    # (denormal) demands; such a VM is starved while the
+                    # host stays overloaded
+                    continue
                 at = now + remaining / rate
             if at < first_at:  # strict: a tie goes to the VM reserved first
                 first, first_at = vm, at
@@ -350,7 +369,7 @@ class SimulationState:
             kind = VM_COMPLETED if last else SEGMENT_BOUNDARY
             self.schedule(first_at, kind, (server_id, server.timer_epoch, first))
         if server.power_state == POWER_ON:
-            util = min(sum(demands), cap) / cap
+            util = min(total, cap) / cap
             watts = eval_power(self.model.power_models[server.spec.power_model_id], util)
         else:
             util, watts = 0.0, server.spec.idle_off_power
@@ -362,19 +381,20 @@ class SimulationState:
 
     def init_segment(self, vm: VmRuntime) -> None:
         duration, demand = vm.workload.segments[vm.seg_idx]
+        vm.demand = demand
         vm.seg_remaining = duration * demand if demand > 0 else duration
 
     # -- application demand -----------------------------------------------------
 
     def recompute_app_demand(self, app: AppRuntime) -> None:
-        """Re-split the offered request rate over serving instances.
+        """Re-split the offered request rate over serving instances and
+        write the new per-instance demand to each.
 
         A fully loaded instance demands ``vcpus`` work-units per second;
         partial load scales linearly and excess load saturates at full
         utilization.
         """
-        vms = self.vms
-        serving = [vms[vm_id] for vm_id in app.instance_ids if vms[vm_id].state in EXECUTING]
+        serving = app.serving
         rate = app.load.rate_at(self.now)
         if serving:
             share = rate / len(serving)
@@ -387,6 +407,8 @@ class SimulationState:
         for host in hosts:
             self.advance_host(host)
         app.instance_demand = demand
+        for vm in serving:
+            vm.demand = demand
         for host in hosts:
             self.refresh_host(host)
 
@@ -452,14 +474,18 @@ class SimulationState:
         vm.state = VmState.RUNNING
         vm.start_time = self.now
         self.record_lifecycle(vm, "started", host_id=vm.host)
-        if vm.app is None:
+        app = vm.app
+        if app is None:
             if not vm.workload.segments:  # empty trace: nothing to execute
                 self.end_vm(vm, VmState.COMPLETED)
                 return
             self.init_segment(vm)
+        else:
+            vm.demand = app.instance_demand
         self._host_changed(vm.host)
-        if vm.app is not None:
-            self.recompute_app_demand(vm.app)
+        if app is not None:
+            self._serving_changed(app)
+            self.recompute_app_demand(app)
         self.refresh_host(vm.host)
 
     def finish_segment(self, server_id: str, epoch: int, vm: VmRuntime) -> None:
@@ -540,15 +566,17 @@ class SimulationState:
         app = vm.app
         if app is not None and vm.id in app.instance_ids:
             app.instance_ids.remove(vm.id)
+            self._serving_changed(app)
             self.record_app_count(app)
             self.recompute_app_demand(app)
         for host in touched:
             self.refresh_host(host)
 
     def _host_changed(self, server_id: str) -> None:
-        """Re-derive a host's free RAM and executing VMs and drop its cached
-        view: the one writer of all three, called after every change to the
-        host, its ``reserved`` list or the host or state of a VM on it.
+        """Re-derive a host's free RAM, executing VMs and executing trace
+        VMs and drop its cached view: the one writer of all four, called
+        after every change to the host, its ``reserved`` list or the host or
+        state of a VM on it.
 
         Summing afresh keeps ``free_ram`` bit-for-bit what a sum over
         ``reserved`` gives; filtering, not appending, keeps ``running`` in
@@ -560,4 +588,12 @@ class SimulationState:
         server.running = [
             vm for vm in server.reserved if vm.host == server_id and vm.state in EXECUTING
         ]
+        server.traces = [vm for vm in server.running if vm.app is None]
         server.view = None
+
+    def _serving_changed(self, app: AppRuntime) -> None:
+        """Re-derive the tier's executing instances, in ``instance_ids``
+        order: called where an instance starts or ends."""
+        vms = self.vms
+        app.serving = [vms[vm_id] for vm_id in app.instance_ids
+                       if vms[vm_id].state in EXECUTING]

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcsim.algorithms import PLACEMENT_FUNCTIONS, AlgorithmConfig
@@ -33,6 +33,7 @@ from dcsim.scenario import (
     StopApplication,
     TimelineEvent,
 )
+from dcsim.state import gps_share
 from tests.conftest import (
     LINEAR_PM,
     make_model,
@@ -58,6 +59,27 @@ def scenario_of_traces(traces, start_times=None, ram=1024.0):
     return ExperimentScenario(events=events, templates=templates)
 
 
+@st.composite
+def share_cases(draw):
+    """Demands (zero, subnormal or normal) with a capacity below, equal to
+    or above their total."""
+    demand = st.one_of(
+        st.just(0.0),
+        st.floats(5e-324, 2.2e-308),  # subnormal
+        st.floats(1e-3, 1e3),
+    )
+    demands = draw(st.lists(demand, max_size=8))
+    total = sum(demands)
+    relation = draw(st.sampled_from(["below", "equal", "above"]))
+    if relation == "equal" and total > 0:
+        capacity = total
+    elif relation == "above" and total > 0:
+        capacity = total * draw(st.floats(0.01, 0.99))
+    else:
+        capacity = total + draw(st.floats(0.1, 1e3))
+    return demands, capacity
+
+
 class TestProportionalShare:
     def test_overload_scales(self):
         rates = proportional_share_rates([8.0, 6.0], 10.0)
@@ -79,6 +101,30 @@ class TestProportionalShare:
         assert all(r >= 0 for r in rates)
         assert all(r <= d + 1e-9 for r, d in zip(rates, demands))
         assert sum(rates) == pytest.approx(min(sum(demands), capacity), rel=1e-9)
+
+    @given(share_cases())
+    @example(([3.0, 2.0], 10.0))  # below capacity
+    @example(([6.0, 4.0], 10.0))  # exactly at capacity
+    @example(([8.0, 6.0, 0.0], 10.0))  # above, with an idle VM
+    @example(([20.0, 5e-324], 10.0))  # above: the subnormal demand is starved
+    def test_share_grants_bitwise_what_proportional_share_rates_grants(self, case):
+        demands, capacity = case
+        share = gps_share(sum(demands), capacity)
+        granted = [d * share for d in demands]
+        expected = proportional_share_rates(demands, capacity)
+        assert [r.hex() for r in granted] == [r.hex() for r in expected]
+
+
+def test_a_starved_subnormal_demand_waits_out_the_overload():
+    """On an overloaded host a subnormal demand's grant rounds to 0:
+    its segment makes no progress, and no boundary is timed for it, until
+    the overload ends."""
+    assert 5e-324 * gps_share(20.0 + 5e-324, 10.0) == 0.0
+    traces = [[(100.0, 20.0)], [(50.0, 5e-324)]]
+    report = run(make_model(1), scenario_of_traces(traces), NO_ALGO,
+                 SimConfig(end_time=1000.0))
+    assert report.vm_records["vm0"].end_time == 200.0  # 2000 units at 10/s
+    assert report.vm_records["vm1"].end_time == 250.0  # starved, then 50 s alone
 
 
 class TestIntegrateEnergy:
@@ -314,10 +360,11 @@ class TestHostTimer:
         assert done == [(150.0, "late"), (150.0, "mover")]
 
 
-def _all_feature_engine() -> _Engine:
-    """Trace VMs overloading s1, a request tier under React, consolidation,
-    the power manager with a 40 s transition latency, stops of a started
-    and an initial VM, and a start that no server can take."""
+def _all_feature_inputs() -> tuple:
+    """The (model, scenario, algorithms, config) of a run with trace VMs
+    overloading s1, a request tier under React, consolidation, the power
+    manager with a 40 s transition latency, stops of a started and an
+    initial VM, and a start that no server can take."""
     from dcsim.algorithms import gen_seasonal_workload
     from dcsim.model import OpenRequestLoad
     from dcsim.scenario import ApplicationTemplate, RelativeTo
@@ -353,8 +400,12 @@ def _all_feature_engine() -> _Engine:
     )
     config = SimConfig(end_time=3600.0, optimizer_interval=200.0, autoscaler_interval=60.0,
                        boot_latency=5.0, power_transition_latency=40.0)
-    return _Engine(model, ExperimentScenario(events=events, templates=templates),
-                   algorithms, config)
+    return model, ExperimentScenario(events=events, templates=templates), algorithms, config
+
+
+def _all_feature_engine() -> _Engine:
+    """A fresh engine for ``_all_feature_inputs``."""
+    return _Engine(*_all_feature_inputs())
 
 
 def _after_every_event(engine: _Engine, check) -> dict[str, int]:
@@ -393,8 +444,11 @@ def _demand(vm):
 
 
 def test_host_load_matches_recomputation_after_every_event():
-    """A host's utilization and power are derived once, in ``refresh_host``;
-    after every event they must equal a fresh sum over the host's VMs."""
+    """A host's utilization, power and share are derived once, in
+    ``refresh_host``; after every event they must equal a fresh sum over the
+    host's VMs, and each executing VM's grant, its demand times the
+    host's share, must be bitwise what ``proportional_share_rates`` grants
+    it from the host's demands."""
     from dcsim.model import POWER_ON, host_capacity
 
     engine = _all_feature_engine()
@@ -403,9 +457,13 @@ def test_host_load_matches_recomputation_after_every_event():
 
     def check(kind):
         for server_id, server in sim.servers.items():
+            cap = host_capacity(server.spec)
+            executing = _executing(sim, server_id)
+            demands = [_demand(vm) for vm in executing]
+            for vm, rate in zip(executing, proportional_share_rates(demands, cap)):
+                assert (vm.demand * server.share).hex() == rate.hex(), (kind, vm.id)
             if server.power_state == POWER_ON:
-                cap = host_capacity(server.spec)
-                demand = sum(_demand(vm) for vm in _executing(sim, server_id))
+                demand = sum(demands)
                 util = min(demand, cap) / cap
                 pm = sim.model.power_models[server.spec.power_model_id]
                 watts = eval_power(pm, util)
@@ -425,9 +483,10 @@ def test_host_load_matches_recomputation_after_every_event():
 
 
 def test_kept_view_free_ram_and_live_index_match_a_rebuild_after_every_event():
-    """Each host's membership, cached runtime view, kept free RAM and
-    executing VMs, each executing VM's kept demand, and the live-VM index
-    must equal a from-scratch build from ``servers``, ``reserved`` and
+    """Each host's membership, cached runtime view, kept free RAM, executing
+    VMs and executing trace VMs, each executing VM's kept demand, each
+    tier's serving instances and the live-VM index must equal a
+    from-scratch build from ``servers``, ``reserved``, ``instance_ids`` and
     ``vms`` after every event. A host is settled no later than ``now`` and
     no earlier than the moment its last executing VM joined it."""
     from dcsim.correspondence import ServerView, VmView, sync_measurements
@@ -457,6 +516,8 @@ def test_kept_view_free_ram_and_live_index_match_a_rebuild_after_every_event():
             executing = _executing(sim, server_id)
             assert [vm.id for vm in server.running] == [vm.id for vm in executing], (
                 kind, server_id)
+            traces = [vm for vm in executing if isinstance(vm.workload, BlackBoxTrace)]
+            assert server.traces == traces, (kind, server_id)
             for vm in executing:
                 assert vm.demand == _demand(vm), (kind, vm.id)
             servers.append(ServerView(
@@ -474,6 +535,10 @@ def test_kept_view_free_ram_and_live_index_match_a_rebuild_after_every_event():
         assert snapshot.vms == tuple(vms), kind
         live = [(i, vm) for i, vm in sim.vms.items() if vm.state not in TERMINAL_STATES]
         assert list(sim.live_vms.items()) == live, kind
+        for app_id, app in sim.apps.items():
+            serving = [sim.vms[vm_id] for vm_id in app.instance_ids
+                       if sim.vms[vm_id].state in (VmState.RUNNING, VmState.MIGRATING)]
+            assert app.serving == serving, (kind, app_id)
 
     popped = _after_every_event(engine, check)
     for kind in ("migration_finished", "power_transition_finished", "rate_update",
@@ -485,6 +550,24 @@ def test_kept_view_free_ram_and_live_index_match_a_rebuild_after_every_event():
     assert outcomes[("stop-request", "hot2")] == "terminated hot2"
     assert any(a.action == "scale-in" and a.outcome == "enacted" for a in sim.action_log)
     assert any(a.action == "migrate" and a.outcome == "enacted" for a in sim.action_log)
+
+
+def test_a_finished_run_leaves_no_reference_cycle():
+    """``run`` breaks the kernel's reference cycles before it returns (the
+    handlers bound to the engine, a tier's serving instances referring back
+    to the tier), so reference counting alone frees a finished run."""
+    import gc
+
+    inputs = _all_feature_inputs()
+    gc.collect()
+    gc.disable()
+    try:
+        report = run(*inputs)
+        assert report.app_instance_counts  # a tier served
+        del report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _euler_oracle(traces, capacity, dt=0.002, horizon=1000.0):
